@@ -41,7 +41,6 @@
 
 #include "bench/bench_common.h"
 #include "common/random.h"
-#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/zipf.h"
@@ -377,83 +376,10 @@ void RunSnapshotCuts(const IdWorkload& w, const BenchShape& shape,
   bench::PrintRule(86);
 }
 
-
-// ----------------------------------------------------------------- SIMD --
-
-struct SimdAbRow {
-  std::string store;
-  double scalar_updates_per_sec = 0.0;
-  double simd_updates_per_sec = 0.0;
-};
-
-/// A/B of the runtime-dispatched kernels on the strided backward: the same
-/// fused clip-and-scatter measured with dispatch capped at the scalar tier,
-/// then at the host's detected tier, interleaved per round. Hash covers the
-/// pooled-row axpy path, robe the shared-array window path.
-std::vector<SimdAbRow> RunSimdAb(const IdWorkload& w, const BenchShape& shape) {
-  const char* kStoreNames[] = {"hash", "robe"};
-  const size_t grad_stride = kNumBatches * kDim;
-  Rng grad_rng(7);
-  std::vector<float> grads(kBatchSize * grad_stride);
-  for (float& g : grads) g = grad_rng.UniformFloat(-2.0f, 2.0f);
-
-  std::printf("\nsimd kernel A/B (workload \"%s\", detected tier %s, "
-              "strided backward)\n",
-              w.name.c_str(), simd::TierName(simd::DetectedTier()));
-  std::printf("%-8s %16s %16s %8s\n", "method", "scalar upd/s",
-              simd::TierName(simd::DetectedTier()), "speedup");
-  bench::PrintRule(52);
-
-  std::vector<SimdAbRow> rows;
-  WallTimer timer;
-  for (const char* name : kStoreNames) {
-    auto store_or = MakeStore(name, bench::MakeMicrobenchContext(w, kDim, 4.0));
-    CAFE_CHECK(store_or.ok()) << store_or.status().ToString();
-    EmbeddingStore* store = store_or->get();
-    for (size_t f = 0; f < kNumBatches; ++f) {
-      store->ApplyGradientBatch(w.ids.data() + f * kBatchSize, kBatchSize,
-                                grads.data() + f * kDim, grad_stride, kLr,
-                                kClip);
-      store->Tick();
-    }
-    std::vector<double> seconds[2];
-    for (int round = 0; round < shape.rounds; ++round) {
-      for (int pass = 0; pass < 2; ++pass) {  // 0 = scalar, 1 = detected
-        if (pass == 0) {
-          simd::SetActiveTier(simd::Tier::kScalar);
-        } else {
-          simd::ResetActiveTier();
-        }
-        timer.Restart();
-        for (size_t f = 0; f < kNumBatches; ++f) {
-          store->ApplyGradientBatch(w.ids.data() + f * kBatchSize, kBatchSize,
-                                    grads.data() + f * kDim, grad_stride, kLr,
-                                    kClip);
-          store->Tick();
-        }
-        seconds[pass].push_back(timer.ElapsedSeconds());
-      }
-    }
-    simd::ResetActiveTier();
-    SimdAbRow row;
-    row.store = name;
-    const double total = static_cast<double>(w.ids.size());
-    row.scalar_updates_per_sec = total / Median(seconds[0]);
-    row.simd_updates_per_sec = total / Median(seconds[1]);
-    std::printf("%-8s %16.3e %16.3e %7.2fx\n", name,
-                row.scalar_updates_per_sec, row.simd_updates_per_sec,
-                row.simd_updates_per_sec / row.scalar_updates_per_sec);
-    rows.push_back(row);
-  }
-  bench::PrintRule(52);
-  return rows;
-}
-
 void WriteJson(const std::string& path, const BenchShape& shape, bool smoke,
                const std::vector<BackwardRow>& backward,
                const std::vector<ScalingRow>& scaling,
-               const std::vector<CutRow>& cuts,
-               const std::vector<SimdAbRow>& simd_ab) {
+               const std::vector<CutRow>& cuts) {
   bench::JsonWriter json;
   json.BeginObject();
   json.Field("bench", "backward");
@@ -518,22 +444,6 @@ void WriteJson(const std::string& path, const BenchShape& shape, bool smoke,
     json.EndObject();
   }
   json.EndArray();
-  json.Key("simd_kernel");
-  json.BeginObject();
-  json.Field("detected_tier", simd::TierName(simd::DetectedTier()));
-  json.Key("stores");
-  json.BeginObject();
-  for (const SimdAbRow& row : simd_ab) {
-    json.Key(row.store.c_str());
-    json.BeginObject();
-    json.Field("scalar_updates_per_sec", row.scalar_updates_per_sec);
-    json.Field("simd_updates_per_sec", row.simd_updates_per_sec);
-    json.Field("update_speedup",
-               row.simd_updates_per_sec / row.scalar_updates_per_sec);
-    json.EndObject();
-  }
-  json.EndObject();
-  json.EndObject();
   json.EndObject();
   bench::WriteJsonFile(path, json);
 }
@@ -564,8 +474,6 @@ void Run(const bench::BenchArgs& args) {
   std::vector<CutRow> cut_rows;
   RunSnapshotCuts(layer, shape, &cut_rows);
 
-  const std::vector<SimdAbRow> simd_ab = RunSimdAb(layer, shape);
-
   std::printf(
       "\nBackward: the staged column is the pre-refactor path (per-field "
       "clamp into a\ncontiguous staging buffer + packed call); strided reads "
@@ -577,7 +485,7 @@ void Run(const bench::BenchArgs& args) {
 
   if (!args.json_path.empty()) {
     WriteJson(args.json_path, shape, args.smoke, backward_rows, scaling_rows,
-              cut_rows, simd_ab);
+              cut_rows);
   }
 }
 

@@ -277,10 +277,6 @@ struct BenchArgs {
   /// rejoin timings (rejoin_delta_us / rejoin_base_us) are always measured;
   /// the flag moves WHERE in the stream the outage starts.
   uint64_t kill_at_generation = 0;
-  /// bench_lookup_batch's prefetch-distance sweep: -1 (default) sweeps the
-  /// standard distance ladder and applies the winner to the main
-  /// measurements; >= 0 pins that single distance instead.
-  int prefetch_dist = -1;
 };
 
 inline BenchArgs ParseBenchArgs(int argc, char** argv) {
@@ -306,17 +302,10 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
         std::exit(2);
       }
       args.kill_at_generation = static_cast<uint64_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--prefetch-dist") == 0) {
-      if (i + 1 >= argc || std::atoi(argv[i + 1]) < 0) {
-        std::fprintf(stderr, "--prefetch-dist needs a distance >= 0\n");
-        std::exit(2);
-      }
-      args.prefetch_dist = std::atoi(argv[++i]);
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (usage: %s [--smoke] [--json "
-                   "<path>] [--threads <n>] [--kill-at-generation <g>] "
-                   "[--prefetch-dist <rows>])\n",
+                   "<path>] [--threads <n>] [--kill-at-generation <g>])\n",
                    argv[i], argv[0]);
       std::exit(2);
     }

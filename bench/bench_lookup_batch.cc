@@ -33,9 +33,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "common/prefetch.h"
 #include "common/random.h"
-#include "common/simd.h"
 #include "common/timer.h"
 #include "common/zipf.h"
 #include "train/store_factory.h"
@@ -186,158 +184,8 @@ void RunWorkload(const IdWorkload& w, std::vector<ResultRow>* rows) {
   bench::PrintRule(100);
 }
 
-
-// ------------------------------------------------------------- prefetch --
-
-struct PrefetchPoint {
-  size_t distance = 0;
-  double lookups_per_sec = 0.0;
-};
-
-/// Sweeps the batched-gather prefetch distance on the hash store (the pure
-/// pooled-gather path, no adaptive bookkeeping) and APPLIES the winner, so
-/// the main tables below run at the host's best setting and the JSON
-/// records both the sweep and the choice. --prefetch-dist pins a single
-/// distance instead of sweeping.
-std::vector<PrefetchPoint> RunPrefetchSweep(const IdWorkload& w, int pinned,
-                                            size_t* best) {
-  std::vector<size_t> distances;
-  if (pinned >= 0) {
-    distances.push_back(static_cast<size_t>(pinned));
-  } else {
-    distances = {0, 1, 2, 4, 8, 16, 32};
-  }
-  std::printf("\nprefetch-distance sweep (hash CR 4, workload \"%s\", "
-              "batched lookups)\n",
-              w.name.c_str());
-  std::printf("%-10s %14s\n", "distance", "lookupB/s");
-  bench::PrintRule(26);
-
-  auto store_or = MakeStore("hash", bench::MakeMicrobenchContext(w, kDim, 4.0));
-  CAFE_CHECK(store_or.ok()) << store_or.status().ToString();
-  EmbeddingStore* store = store_or->get();
-  std::vector<float> out(kBatchSize * kDim);
-  // Warm the table so every distance sees identical resident state.
-  for (size_t k = 0; k < kNumBatches; ++k) {
-    store->LookupBatch(w.ids.data() + k * kBatchSize, kBatchSize, out.data());
-  }
-
-  std::vector<PrefetchPoint> points;
-  *best = kDefaultPrefetchDistance;
-  double best_rate = 0.0;
-  WallTimer timer;
-  for (const size_t dist : distances) {
-    SetPrefetchDistance(dist);
-    std::vector<double> seconds;
-    for (int round = 0; round < g_shape.rounds; ++round) {
-      timer.Restart();
-      for (size_t k = 0; k < kNumBatches; ++k) {
-        store->LookupBatch(w.ids.data() + k * kBatchSize, kBatchSize,
-                           out.data());
-      }
-      seconds.push_back(timer.ElapsedSeconds());
-    }
-    const double rate = static_cast<double>(w.ids.size()) / Median(seconds);
-    points.push_back({dist, rate});
-    if (rate > best_rate) {
-      best_rate = rate;
-      *best = dist;
-    }
-    std::printf("%-10zu %14.3e\n", dist, rate);
-  }
-  bench::PrintRule(26);
-  SetPrefetchDistance(*best);
-  std::printf("best distance: %zu (applied to the tables below)\n", *best);
-  return points;
-}
-
-// ----------------------------------------------------------------- SIMD --
-
-struct SimdAbRow {
-  std::string store;
-  double scalar_lookups_per_sec = 0.0;
-  double simd_lookups_per_sec = 0.0;
-  double scalar_updates_per_sec = 0.0;
-  double simd_updates_per_sec = 0.0;
-};
-
-/// A/B of the runtime-dispatched kernels on the BATCHED paths: the same
-/// gather and scatter measured with dispatch capped at the scalar tier,
-/// then at the host's detected tier, interleaved per round. Hash covers the
-/// pooled-row copy/axpy path, robe the shared-array window path.
-std::vector<SimdAbRow> RunSimdAb(const IdWorkload& w) {
-  const char* kStores[] = {"hash", "robe"};
-  std::printf("\nsimd kernel A/B (workload \"%s\", detected tier %s, "
-              "batched paths)\n",
-              w.name.c_str(), simd::TierName(simd::DetectedTier()));
-  std::printf("%-8s %14s %14s %8s %14s %14s %8s\n", "method", "lookupB/s",
-              "lookupB/s", "speedup", "updateB/s", "updateB/s", "speedup");
-  std::printf("%-8s %14s %14s %8s %14s %14s %8s\n", "", "scalar",
-              simd::TierName(simd::DetectedTier()), "", "scalar",
-              simd::TierName(simd::DetectedTier()), "");
-  bench::PrintRule(90);
-
-  Rng grad_rng(7);
-  std::vector<float> grads(kBatchSize * kDim);
-  for (float& g : grads) g = grad_rng.UniformFloat(-0.1f, 0.1f);
-  std::vector<float> out(kBatchSize * kDim);
-  std::vector<SimdAbRow> rows;
-  WallTimer timer;
-  for (const char* name : kStores) {
-    auto store_or = MakeStore(name, bench::MakeMicrobenchContext(w, kDim, 4.0));
-    CAFE_CHECK(store_or.ok()) << store_or.status().ToString();
-    EmbeddingStore* store = store_or->get();
-    for (size_t k = 0; k < kNumBatches; ++k) {
-      store->ApplyGradientBatch(w.ids.data() + k * kBatchSize, kBatchSize,
-                                grads.data(), 0.01f);
-      store->Tick();
-    }
-    std::vector<double> lookup_s[2], update_s[2];
-    for (int round = 0; round < g_shape.rounds; ++round) {
-      for (int pass = 0; pass < 2; ++pass) {  // 0 = scalar, 1 = detected
-        if (pass == 0) {
-          simd::SetActiveTier(simd::Tier::kScalar);
-        } else {
-          simd::ResetActiveTier();
-        }
-        timer.Restart();
-        for (size_t k = 0; k < kNumBatches; ++k) {
-          store->LookupBatch(w.ids.data() + k * kBatchSize, kBatchSize,
-                             out.data());
-        }
-        lookup_s[pass].push_back(timer.ElapsedSeconds());
-        timer.Restart();
-        for (size_t k = 0; k < kNumBatches; ++k) {
-          store->ApplyGradientBatch(w.ids.data() + k * kBatchSize, kBatchSize,
-                                    grads.data(), 0.01f);
-          store->Tick();
-        }
-        update_s[pass].push_back(timer.ElapsedSeconds());
-      }
-    }
-    simd::ResetActiveTier();
-    const double total = static_cast<double>(w.ids.size());
-    SimdAbRow row;
-    row.store = name;
-    row.scalar_lookups_per_sec = total / Median(lookup_s[0]);
-    row.simd_lookups_per_sec = total / Median(lookup_s[1]);
-    row.scalar_updates_per_sec = total / Median(update_s[0]);
-    row.simd_updates_per_sec = total / Median(update_s[1]);
-    std::printf("%-8s %14.3e %14.3e %7.2fx %14.3e %14.3e %7.2fx\n", name,
-                row.scalar_lookups_per_sec, row.simd_lookups_per_sec,
-                row.simd_lookups_per_sec / row.scalar_lookups_per_sec,
-                row.scalar_updates_per_sec, row.simd_updates_per_sec,
-                row.simd_updates_per_sec / row.scalar_updates_per_sec);
-    rows.push_back(row);
-  }
-  bench::PrintRule(90);
-  return rows;
-}
-
 void WriteJson(const std::string& path, bool smoke,
-               const std::vector<ResultRow>& rows,
-               const std::vector<PrefetchPoint>& sweep, size_t best_dist,
-               const std::vector<SimdAbRow>& simd_ab) {
+               const std::vector<ResultRow>& rows) {
   bench::JsonWriter json;
   json.BeginObject();
   json.Field("bench", "lookup_batch");
@@ -369,36 +217,6 @@ void WriteJson(const std::string& path, bool smoke,
     json.EndObject();
   }
   json.EndArray();
-  json.Key("prefetch_sweep");
-  json.BeginArray();
-  for (const PrefetchPoint& point : sweep) {
-    json.BeginObject();
-    json.Field("distance", static_cast<uint64_t>(point.distance));
-    json.Field("lookups_per_sec", point.lookups_per_sec);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.Field("best_prefetch_distance", static_cast<uint64_t>(best_dist));
-  json.Key("simd_kernel");
-  json.BeginObject();
-  json.Field("detected_tier", simd::TierName(simd::DetectedTier()));
-  json.Key("stores");
-  json.BeginObject();
-  for (const SimdAbRow& row : simd_ab) {
-    json.Key(row.store.c_str());
-    json.BeginObject();
-    json.Field("scalar_lookups_per_sec", row.scalar_lookups_per_sec);
-    json.Field("simd_lookups_per_sec", row.simd_lookups_per_sec);
-    json.Field("lookup_speedup",
-               row.simd_lookups_per_sec / row.scalar_lookups_per_sec);
-    json.Field("scalar_updates_per_sec", row.scalar_updates_per_sec);
-    json.Field("simd_updates_per_sec", row.simd_updates_per_sec);
-    json.Field("update_speedup",
-               row.simd_updates_per_sec / row.scalar_updates_per_sec);
-    json.EndObject();
-  }
-  json.EndObject();
-  json.EndObject();
   json.EndObject();
   bench::WriteJsonFile(path, json);
 }
@@ -416,14 +234,9 @@ void Run(const bench::BenchArgs& args) {
       g_shape.global_features, kNumBatches, kBatchSize, kZipfZ);
   const IdWorkload layer = bench::MakeLayerIdWorkload(
       g_shape.card_divisor, kNumBatches, kBatchSize, kZipfZ);
-  // Tune the gather prefetch first so the main tables run at the winner.
-  size_t best_dist = kDefaultPrefetchDistance;
-  const std::vector<PrefetchPoint> sweep =
-      RunPrefetchSweep(global, args.prefetch_dist, &best_dist);
   std::vector<ResultRow> rows;
   RunWorkload(global, &rows);
   RunWorkload(layer, &rows);
-  const std::vector<SimdAbRow> simd_ab = RunSimdAb(global);
   std::printf(
       "\nlookupB/updateB = the batched LookupBatch/ApplyGradientBatch "
       "paths.\nBatched gains = probe dedup per unique id + devirtualized, "
@@ -431,7 +244,7 @@ void Run(const bench::BenchArgs& args) {
       "baseline already saturates the\nmemory system, so these ratios are "
       "lower bounds of bare-metal behavior.\n");
   if (!args.json_path.empty()) {
-    WriteJson(args.json_path, args.smoke, rows, sweep, best_dist, simd_ab);
+    WriteJson(args.json_path, args.smoke, rows);
   }
 }
 

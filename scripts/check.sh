@@ -57,8 +57,8 @@ scripts/validate_bench_json.sh \
 # publish-scaling series; replication pins the same contract OVER THE WIRE
 # (replica publish lag must keep tracking the streamed delta bytes).
 scripts/validate_bench_json.sh \
-  "$BUILD_DIR/BENCH_lookup_batch.json:simd_kernel,robe,prefetch_sweep,best_prefetch_distance" \
-  "$BUILD_DIR/BENCH_backward.json:backward_scaling,threads,updates_per_sec,speedup_vs_serial,obs_enabled,simd_kernel,robe" \
+  "$BUILD_DIR/BENCH_lookup_batch.json:results,batched_lookups_per_sec,batched_updates_per_sec" \
+  "$BUILD_DIR/BENCH_backward.json:backward_scaling,threads,updates_per_sec,speedup_vs_serial,obs_enabled" \
   "$BUILD_DIR/BENCH_serving.json:serving,qps,p99_us,obs_enabled" \
   "$BUILD_DIR/BENCH_hot_swap.json:last_publish_us,last_apply_bytes,retired_buffers,publish_scaling,dirty_fraction,full_publish_us" \
   "$BUILD_DIR/BENCH_replication.json:replication,dirty_fraction,delta_bytes,replica_lag_us,rejoin_delta_us,rejoin_base_us"

@@ -1,7 +1,6 @@
 #ifndef CAFE_COMMON_PREFETCH_H_
 #define CAFE_COMMON_PREFETCH_H_
 
-#include <atomic>
 #include <cstddef>
 
 namespace cafe {
@@ -18,27 +17,10 @@ inline void PrefetchRead(const void*) {}
 inline void PrefetchWrite(const void*) {}
 #endif
 
-/// Default for how many rows ahead the batched loops prefetch. Deep enough
-/// to cover DRAM latency at one row per few nanoseconds of copy work,
-/// shallow enough that hints are not evicted before use.
-inline constexpr size_t kDefaultPrefetchDistance = 8;
-
-namespace prefetch_internal {
-inline std::atomic<size_t> g_distance{kDefaultPrefetchDistance};
-}  // namespace prefetch_internal
-
-/// Runtime prefetch-distance knob. The batched loops hoist this into a
-/// local once per batch, so changing it mid-batch only affects the next
-/// batch. bench_lookup_batch sweeps it (--prefetch-dist) to find the host's
-/// best setting; 0 degenerates to prefetching the row being copied — an
-/// effective no-op, useful as the sweep's "off" point.
-inline size_t PrefetchDistance() {
-  return prefetch_internal::g_distance.load(std::memory_order_relaxed);
-}
-
-inline void SetPrefetchDistance(size_t rows) {
-  prefetch_internal::g_distance.store(rows, std::memory_order_relaxed);
-}
+/// How many rows ahead the batched loops prefetch. Deep enough to cover
+/// DRAM latency at one row per few nanoseconds of copy work, shallow enough
+/// that hints are not evicted before use.
+constexpr size_t PrefetchDistance() { return 8; }
 
 }  // namespace cafe
 

@@ -1,554 +1,37 @@
 #include "common/simd.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(CAFE_NO_SIMD)
-#define CAFE_SIMD_X86 1
-#include <immintrin.h>
-#endif
 
 namespace cafe {
 namespace simd {
-namespace {
 
-// ---------------------------------------------------------------------------
-// Scalar tier: the reference loops, verbatim. Compiled at the baseline arch
-// (no FMA instruction exists there), so no contraction can change rounding.
-// ---------------------------------------------------------------------------
+const char* ActiveTierName() { return "scalar"; }
 
-inline float ClampS(float g, float bound) {
-  return std::clamp(g, -bound, bound);
-}
-
-void CopyRowScalar(float* dst, const float* src, uint32_t d) {
-  std::memcpy(dst, src, d * sizeof(float));
-}
-
-void AxpyNegScalar(float* row, const float* g, uint32_t d, float lr) {
+void AxpyNeg(float* row, const float* g, uint32_t d, float lr) {
   for (uint32_t k = 0; k < d; ++k) row[k] -= lr * g[k];
 }
 
-void AxpyClipNegScalar(float* row, const float* g, uint32_t d, float lr,
-                       float bound) {
-  for (uint32_t k = 0; k < d; ++k) row[k] -= lr * ClampS(g[k], bound);
+void AxpyClipNeg(float* row, const float* g, uint32_t d, float lr,
+                 float bound) {
+  for (uint32_t k = 0; k < d; ++k) {
+    row[k] -= lr * std::clamp(g[k], -bound, bound);
+  }
 }
 
-void AccumClipScalar(float* acc, const float* g, uint32_t d, float bound) {
-  for (uint32_t k = 0; k < d; ++k) acc[k] += ClampS(g[k], bound);
+void AccumClip(float* acc, const float* g, uint32_t d, float bound) {
+  for (uint32_t k = 0; k < d; ++k) acc[k] += std::clamp(g[k], -bound, bound);
 }
 
-void AddScaledScalar(float* dst, const float* src, uint32_t d, float a) {
+void AddScaled(float* dst, const float* src, uint32_t d, float a) {
   for (uint32_t k = 0; k < d; ++k) dst[k] += a * src[k];
 }
 
-void AddRowsScalar(float* dst, const float* a, const float* b, uint32_t d) {
+void AddRows(float* dst, const float* a, const float* b, uint32_t d) {
   for (uint32_t k = 0; k < d; ++k) dst[k] = a[k] + b[k];
 }
 
-void MulRowsScalar(float* dst, const float* a, const float* b, uint32_t d) {
+void MulRows(float* dst, const float* a, const float* b, uint32_t d) {
   for (uint32_t k = 0; k < d; ++k) dst[k] = a[k] * b[k];
-}
-
-constexpr detail::Kernels kScalarKernels = {
-    &CopyRowScalar, &AxpyNegScalar, &AxpyClipNegScalar, &AccumClipScalar,
-    &AddScaledScalar, &AddRowsScalar, &MulRowsScalar};
-
-#if defined(CAFE_SIMD_X86)
-
-// ---------------------------------------------------------------------------
-// AVX2 tier: 8-lane kernels. Tails use masked loads/stores — explicit
-// intrinsics the compiler will not contract — so EXACT kernels round every
-// element exactly like the scalar loop (clamp = min(max(..)), one vmulps,
-// one vsubps/vaddps).
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) inline __m256i TailMask8(uint32_t r) {
-  const __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(r)), idx);
-}
-
-__attribute__((target("avx2"))) void CopyRowAvx2(float* dst, const float* src,
-                                                 uint32_t d) {
-  uint32_t k = 0;
-  for (; k + 8 <= d; k += 8) {
-    _mm256_storeu_ps(dst + k, _mm256_loadu_ps(src + k));
-  }
-  if (k < d) {
-    const __m256i m = TailMask8(d - k);
-    _mm256_maskstore_ps(dst + k, m, _mm256_maskload_ps(src + k, m));
-  }
-}
-
-__attribute__((target("avx2"))) void AxpyNegAvx2(float* row, const float* g,
-                                                 uint32_t d, float lr) {
-  const __m256 vlr = _mm256_set1_ps(lr);
-  uint32_t k = 0;
-  for (; k + 8 <= d; k += 8) {
-    const __m256 vg = _mm256_loadu_ps(g + k);
-    const __m256 vr = _mm256_loadu_ps(row + k);
-    _mm256_storeu_ps(row + k, _mm256_sub_ps(vr, _mm256_mul_ps(vlr, vg)));
-  }
-  if (k < d) {
-    const __m256i m = TailMask8(d - k);
-    const __m256 vg = _mm256_maskload_ps(g + k, m);
-    const __m256 vr = _mm256_maskload_ps(row + k, m);
-    _mm256_maskstore_ps(row + k, m,
-                        _mm256_sub_ps(vr, _mm256_mul_ps(vlr, vg)));
-  }
-}
-
-__attribute__((target("avx2,fma"))) void AxpyNegFmaAvx2(float* row,
-                                                        const float* g,
-                                                        uint32_t d, float lr) {
-  const __m256 vlr = _mm256_set1_ps(lr);
-  uint32_t k = 0;
-  for (; k + 8 <= d; k += 8) {
-    const __m256 vg = _mm256_loadu_ps(g + k);
-    const __m256 vr = _mm256_loadu_ps(row + k);
-    _mm256_storeu_ps(row + k, _mm256_fnmadd_ps(vlr, vg, vr));
-  }
-  if (k < d) {
-    const __m256i m = TailMask8(d - k);
-    const __m256 vg = _mm256_maskload_ps(g + k, m);
-    const __m256 vr = _mm256_maskload_ps(row + k, m);
-    _mm256_maskstore_ps(row + k, m, _mm256_fnmadd_ps(vlr, vg, vr));
-  }
-}
-
-__attribute__((target("avx2"))) inline __m256 Clamp8(__m256 v, __m256 lo,
-                                                     __m256 hi) {
-  return _mm256_min_ps(_mm256_max_ps(v, lo), hi);
-}
-
-__attribute__((target("avx2"))) void AxpyClipNegAvx2(float* row,
-                                                     const float* g,
-                                                     uint32_t d, float lr,
-                                                     float bound) {
-  const __m256 vlr = _mm256_set1_ps(lr);
-  const __m256 vhi = _mm256_set1_ps(bound);
-  const __m256 vlo = _mm256_set1_ps(-bound);
-  uint32_t k = 0;
-  for (; k + 8 <= d; k += 8) {
-    const __m256 vg = Clamp8(_mm256_loadu_ps(g + k), vlo, vhi);
-    const __m256 vr = _mm256_loadu_ps(row + k);
-    _mm256_storeu_ps(row + k, _mm256_sub_ps(vr, _mm256_mul_ps(vlr, vg)));
-  }
-  if (k < d) {
-    const __m256i m = TailMask8(d - k);
-    const __m256 vg = Clamp8(_mm256_maskload_ps(g + k, m), vlo, vhi);
-    const __m256 vr = _mm256_maskload_ps(row + k, m);
-    _mm256_maskstore_ps(row + k, m,
-                        _mm256_sub_ps(vr, _mm256_mul_ps(vlr, vg)));
-  }
-}
-
-__attribute__((target("avx2,fma"))) void AxpyClipNegFmaAvx2(float* row,
-                                                            const float* g,
-                                                            uint32_t d,
-                                                            float lr,
-                                                            float bound) {
-  const __m256 vlr = _mm256_set1_ps(lr);
-  const __m256 vhi = _mm256_set1_ps(bound);
-  const __m256 vlo = _mm256_set1_ps(-bound);
-  uint32_t k = 0;
-  for (; k + 8 <= d; k += 8) {
-    const __m256 vg = Clamp8(_mm256_loadu_ps(g + k), vlo, vhi);
-    const __m256 vr = _mm256_loadu_ps(row + k);
-    _mm256_storeu_ps(row + k, _mm256_fnmadd_ps(vlr, vg, vr));
-  }
-  if (k < d) {
-    const __m256i m = TailMask8(d - k);
-    const __m256 vg = Clamp8(_mm256_maskload_ps(g + k, m), vlo, vhi);
-    const __m256 vr = _mm256_maskload_ps(row + k, m);
-    _mm256_maskstore_ps(row + k, m, _mm256_fnmadd_ps(vlr, vg, vr));
-  }
-}
-
-__attribute__((target("avx2"))) void AccumClipAvx2(float* acc, const float* g,
-                                                   uint32_t d, float bound) {
-  const __m256 vhi = _mm256_set1_ps(bound);
-  const __m256 vlo = _mm256_set1_ps(-bound);
-  uint32_t k = 0;
-  for (; k + 8 <= d; k += 8) {
-    const __m256 vg = Clamp8(_mm256_loadu_ps(g + k), vlo, vhi);
-    _mm256_storeu_ps(acc + k, _mm256_add_ps(_mm256_loadu_ps(acc + k), vg));
-  }
-  if (k < d) {
-    const __m256i m = TailMask8(d - k);
-    const __m256 vg = Clamp8(_mm256_maskload_ps(g + k, m), vlo, vhi);
-    _mm256_maskstore_ps(acc + k, m,
-                        _mm256_add_ps(_mm256_maskload_ps(acc + k, m), vg));
-  }
-}
-
-__attribute__((target("avx2"))) void AddScaledAvx2(float* dst,
-                                                   const float* src,
-                                                   uint32_t d, float a) {
-  const __m256 va = _mm256_set1_ps(a);
-  uint32_t k = 0;
-  for (; k + 8 <= d; k += 8) {
-    const __m256 vs = _mm256_mul_ps(va, _mm256_loadu_ps(src + k));
-    _mm256_storeu_ps(dst + k, _mm256_add_ps(_mm256_loadu_ps(dst + k), vs));
-  }
-  if (k < d) {
-    const __m256i m = TailMask8(d - k);
-    const __m256 vs = _mm256_mul_ps(va, _mm256_maskload_ps(src + k, m));
-    _mm256_maskstore_ps(dst + k, m,
-                        _mm256_add_ps(_mm256_maskload_ps(dst + k, m), vs));
-  }
-}
-
-__attribute__((target("avx2,fma"))) void AddScaledFmaAvx2(float* dst,
-                                                          const float* src,
-                                                          uint32_t d,
-                                                          float a) {
-  const __m256 va = _mm256_set1_ps(a);
-  uint32_t k = 0;
-  for (; k + 8 <= d; k += 8) {
-    const __m256 vs = _mm256_loadu_ps(src + k);
-    _mm256_storeu_ps(dst + k,
-                     _mm256_fmadd_ps(va, vs, _mm256_loadu_ps(dst + k)));
-  }
-  if (k < d) {
-    const __m256i m = TailMask8(d - k);
-    const __m256 vs = _mm256_maskload_ps(src + k, m);
-    _mm256_maskstore_ps(dst + k, m,
-                        _mm256_fmadd_ps(va, vs, _mm256_maskload_ps(dst + k, m)));
-  }
-}
-
-
-__attribute__((target("avx2"))) void AddRowsAvx2(float* dst, const float* a,
-                                                 const float* b, uint32_t d) {
-  uint32_t k = 0;
-  for (; k + 8 <= d; k += 8) {
-    _mm256_storeu_ps(
-        dst + k, _mm256_add_ps(_mm256_loadu_ps(a + k), _mm256_loadu_ps(b + k)));
-  }
-  if (k < d) {
-    const __m256i m = TailMask8(d - k);
-    _mm256_maskstore_ps(dst + k, m,
-                        _mm256_add_ps(_mm256_maskload_ps(a + k, m),
-                                      _mm256_maskload_ps(b + k, m)));
-  }
-}
-
-__attribute__((target("avx2"))) void MulRowsAvx2(float* dst, const float* a,
-                                                 const float* b, uint32_t d) {
-  uint32_t k = 0;
-  for (; k + 8 <= d; k += 8) {
-    _mm256_storeu_ps(
-        dst + k, _mm256_mul_ps(_mm256_loadu_ps(a + k), _mm256_loadu_ps(b + k)));
-  }
-  if (k < d) {
-    const __m256i m = TailMask8(d - k);
-    _mm256_maskstore_ps(dst + k, m,
-                        _mm256_mul_ps(_mm256_maskload_ps(a + k, m),
-                                      _mm256_maskload_ps(b + k, m)));
-  }
-}
-
-constexpr detail::Kernels kAvx2Kernels = {
-    &CopyRowAvx2, &AxpyNegAvx2, &AxpyClipNegAvx2, &AccumClipAvx2,
-    &AddScaledAvx2, &AddRowsAvx2, &MulRowsAvx2};
-
-constexpr detail::Kernels kAvx2FusedKernels = {
-    &CopyRowAvx2, &AxpyNegFmaAvx2, &AxpyClipNegFmaAvx2, &AccumClipAvx2,
-    &AddScaledFmaAvx2, &AddRowsAvx2, &MulRowsAvx2};
-
-// ---------------------------------------------------------------------------
-// AVX-512F tier: 16-lane kernels. Tails use the native lane masks.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx512f"))) inline __m512 Clamp16(__m512 v, __m512 lo,
-                                                         __m512 hi) {
-  return _mm512_min_ps(_mm512_max_ps(v, lo), hi);
-}
-
-__attribute__((target("avx512f"))) void CopyRowAvx512(float* dst,
-                                                      const float* src,
-                                                      uint32_t d) {
-  uint32_t k = 0;
-  for (; k + 16 <= d; k += 16) {
-    _mm512_storeu_ps(dst + k, _mm512_loadu_ps(src + k));
-  }
-  if (k < d) {
-    const __mmask16 m = (1u << (d - k)) - 1u;
-    _mm512_mask_storeu_ps(dst + k, m, _mm512_maskz_loadu_ps(m, src + k));
-  }
-}
-
-__attribute__((target("avx512f"))) void AxpyNegAvx512(float* row,
-                                                      const float* g,
-                                                      uint32_t d, float lr) {
-  const __m512 vlr = _mm512_set1_ps(lr);
-  uint32_t k = 0;
-  for (; k + 16 <= d; k += 16) {
-    const __m512 vg = _mm512_loadu_ps(g + k);
-    const __m512 vr = _mm512_loadu_ps(row + k);
-    _mm512_storeu_ps(row + k, _mm512_sub_ps(vr, _mm512_mul_ps(vlr, vg)));
-  }
-  if (k < d) {
-    const __mmask16 m = (1u << (d - k)) - 1u;
-    const __m512 vg = _mm512_maskz_loadu_ps(m, g + k);
-    const __m512 vr = _mm512_maskz_loadu_ps(m, row + k);
-    _mm512_mask_storeu_ps(row + k, m,
-                          _mm512_sub_ps(vr, _mm512_mul_ps(vlr, vg)));
-  }
-}
-
-__attribute__((target("avx512f"))) void AxpyNegFmaAvx512(float* row,
-                                                         const float* g,
-                                                         uint32_t d,
-                                                         float lr) {
-  const __m512 vlr = _mm512_set1_ps(lr);
-  uint32_t k = 0;
-  for (; k + 16 <= d; k += 16) {
-    const __m512 vg = _mm512_loadu_ps(g + k);
-    const __m512 vr = _mm512_loadu_ps(row + k);
-    _mm512_storeu_ps(row + k, _mm512_fnmadd_ps(vlr, vg, vr));
-  }
-  if (k < d) {
-    const __mmask16 m = (1u << (d - k)) - 1u;
-    const __m512 vg = _mm512_maskz_loadu_ps(m, g + k);
-    const __m512 vr = _mm512_maskz_loadu_ps(m, row + k);
-    _mm512_mask_storeu_ps(row + k, m, _mm512_fnmadd_ps(vlr, vg, vr));
-  }
-}
-
-__attribute__((target("avx512f"))) void AxpyClipNegAvx512(float* row,
-                                                          const float* g,
-                                                          uint32_t d, float lr,
-                                                          float bound) {
-  const __m512 vlr = _mm512_set1_ps(lr);
-  const __m512 vhi = _mm512_set1_ps(bound);
-  const __m512 vlo = _mm512_set1_ps(-bound);
-  uint32_t k = 0;
-  for (; k + 16 <= d; k += 16) {
-    const __m512 vg = Clamp16(_mm512_loadu_ps(g + k), vlo, vhi);
-    const __m512 vr = _mm512_loadu_ps(row + k);
-    _mm512_storeu_ps(row + k, _mm512_sub_ps(vr, _mm512_mul_ps(vlr, vg)));
-  }
-  if (k < d) {
-    const __mmask16 m = (1u << (d - k)) - 1u;
-    const __m512 vg = Clamp16(_mm512_maskz_loadu_ps(m, g + k), vlo, vhi);
-    const __m512 vr = _mm512_maskz_loadu_ps(m, row + k);
-    _mm512_mask_storeu_ps(row + k, m,
-                          _mm512_sub_ps(vr, _mm512_mul_ps(vlr, vg)));
-  }
-}
-
-__attribute__((target("avx512f"))) void AxpyClipNegFmaAvx512(
-    float* row, const float* g, uint32_t d, float lr, float bound) {
-  const __m512 vlr = _mm512_set1_ps(lr);
-  const __m512 vhi = _mm512_set1_ps(bound);
-  const __m512 vlo = _mm512_set1_ps(-bound);
-  uint32_t k = 0;
-  for (; k + 16 <= d; k += 16) {
-    const __m512 vg = Clamp16(_mm512_loadu_ps(g + k), vlo, vhi);
-    const __m512 vr = _mm512_loadu_ps(row + k);
-    _mm512_storeu_ps(row + k, _mm512_fnmadd_ps(vlr, vg, vr));
-  }
-  if (k < d) {
-    const __mmask16 m = (1u << (d - k)) - 1u;
-    const __m512 vg = Clamp16(_mm512_maskz_loadu_ps(m, g + k), vlo, vhi);
-    const __m512 vr = _mm512_maskz_loadu_ps(m, row + k);
-    _mm512_mask_storeu_ps(row + k, m, _mm512_fnmadd_ps(vlr, vg, vr));
-  }
-}
-
-__attribute__((target("avx512f"))) void AccumClipAvx512(float* acc,
-                                                        const float* g,
-                                                        uint32_t d,
-                                                        float bound) {
-  const __m512 vhi = _mm512_set1_ps(bound);
-  const __m512 vlo = _mm512_set1_ps(-bound);
-  uint32_t k = 0;
-  for (; k + 16 <= d; k += 16) {
-    const __m512 vg = Clamp16(_mm512_loadu_ps(g + k), vlo, vhi);
-    _mm512_storeu_ps(acc + k, _mm512_add_ps(_mm512_loadu_ps(acc + k), vg));
-  }
-  if (k < d) {
-    const __mmask16 m = (1u << (d - k)) - 1u;
-    const __m512 vg = Clamp16(_mm512_maskz_loadu_ps(m, g + k), vlo, vhi);
-    _mm512_mask_storeu_ps(
-        acc + k, m, _mm512_add_ps(_mm512_maskz_loadu_ps(m, acc + k), vg));
-  }
-}
-
-__attribute__((target("avx512f"))) void AddScaledAvx512(float* dst,
-                                                        const float* src,
-                                                        uint32_t d, float a) {
-  const __m512 va = _mm512_set1_ps(a);
-  uint32_t k = 0;
-  for (; k + 16 <= d; k += 16) {
-    const __m512 vs = _mm512_mul_ps(va, _mm512_loadu_ps(src + k));
-    _mm512_storeu_ps(dst + k, _mm512_add_ps(_mm512_loadu_ps(dst + k), vs));
-  }
-  if (k < d) {
-    const __mmask16 m = (1u << (d - k)) - 1u;
-    const __m512 vs = _mm512_mul_ps(va, _mm512_maskz_loadu_ps(m, src + k));
-    _mm512_mask_storeu_ps(
-        dst + k, m, _mm512_add_ps(_mm512_maskz_loadu_ps(m, dst + k), vs));
-  }
-}
-
-__attribute__((target("avx512f"))) void AddScaledFmaAvx512(float* dst,
-                                                           const float* src,
-                                                           uint32_t d,
-                                                           float a) {
-  const __m512 va = _mm512_set1_ps(a);
-  uint32_t k = 0;
-  for (; k + 16 <= d; k += 16) {
-    const __m512 vs = _mm512_loadu_ps(src + k);
-    _mm512_storeu_ps(dst + k,
-                     _mm512_fmadd_ps(va, vs, _mm512_loadu_ps(dst + k)));
-  }
-  if (k < d) {
-    const __mmask16 m = (1u << (d - k)) - 1u;
-    const __m512 vs = _mm512_maskz_loadu_ps(m, src + k);
-    _mm512_mask_storeu_ps(
-        dst + k, m, _mm512_fmadd_ps(va, vs, _mm512_maskz_loadu_ps(m, dst + k)));
-  }
-}
-
-
-__attribute__((target("avx512f"))) void AddRowsAvx512(float* dst,
-                                                      const float* a,
-                                                      const float* b,
-                                                      uint32_t d) {
-  uint32_t k = 0;
-  for (; k + 16 <= d; k += 16) {
-    _mm512_storeu_ps(
-        dst + k, _mm512_add_ps(_mm512_loadu_ps(a + k), _mm512_loadu_ps(b + k)));
-  }
-  if (k < d) {
-    const __mmask16 m = (1u << (d - k)) - 1u;
-    _mm512_mask_storeu_ps(dst + k, m,
-                          _mm512_add_ps(_mm512_maskz_loadu_ps(m, a + k),
-                                        _mm512_maskz_loadu_ps(m, b + k)));
-  }
-}
-
-__attribute__((target("avx512f"))) void MulRowsAvx512(float* dst,
-                                                      const float* a,
-                                                      const float* b,
-                                                      uint32_t d) {
-  uint32_t k = 0;
-  for (; k + 16 <= d; k += 16) {
-    _mm512_storeu_ps(
-        dst + k, _mm512_mul_ps(_mm512_loadu_ps(a + k), _mm512_loadu_ps(b + k)));
-  }
-  if (k < d) {
-    const __mmask16 m = (1u << (d - k)) - 1u;
-    _mm512_mask_storeu_ps(dst + k, m,
-                          _mm512_mul_ps(_mm512_maskz_loadu_ps(m, a + k),
-                                        _mm512_maskz_loadu_ps(m, b + k)));
-  }
-}
-
-constexpr detail::Kernels kAvx512Kernels = {
-    &CopyRowAvx512, &AxpyNegAvx512, &AxpyClipNegAvx512, &AccumClipAvx512,
-    &AddScaledAvx512, &AddRowsAvx512, &MulRowsAvx512};
-
-constexpr detail::Kernels kAvx512FusedKernels = {
-    &CopyRowAvx512, &AxpyNegFmaAvx512, &AxpyClipNegFmaAvx512,
-    &AccumClipAvx512, &AddScaledFmaAvx512, &AddRowsAvx512, &MulRowsAvx512};
-
-#endif  // CAFE_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// Dispatch state.
-// ---------------------------------------------------------------------------
-
-Tier DetectHost() {
-#if defined(CAFE_SIMD_X86)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) return Tier::kAvx512;
-  if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
-#endif
-  return Tier::kScalar;
-}
-
-std::atomic<Tier> g_active_tier{Tier::kScalar};
-std::atomic<bool> g_fused_fma{false};
-
-const detail::Kernels* TableFor(Tier tier, bool fused) {
-#if defined(CAFE_SIMD_X86)
-  switch (tier) {
-    case Tier::kAvx512:
-      return fused ? &kAvx512FusedKernels : &kAvx512Kernels;
-    case Tier::kAvx2:
-      return fused ? &kAvx2FusedKernels : &kAvx2Kernels;
-    case Tier::kScalar:
-      break;
-  }
-#else
-  (void)tier;
-  (void)fused;
-#endif
-  return &kScalarKernels;
-}
-
-void Rebind() {
-  detail::g_kernels.store(
-      TableFor(g_active_tier.load(std::memory_order_relaxed),
-               g_fused_fma.load(std::memory_order_relaxed)),
-      std::memory_order_release);
-}
-
-// Upgrades the constant-initialized scalar table to the host's best tier
-// before main() runs.
-struct DispatchInit {
-  DispatchInit() {
-    g_active_tier.store(DetectHost(), std::memory_order_relaxed);
-    Rebind();
-  }
-};
-DispatchInit g_dispatch_init;
-
-}  // namespace
-
-namespace detail {
-std::atomic<const Kernels*> g_kernels{&kScalarKernels};
-}  // namespace detail
-
-Tier DetectedTier() {
-  static const Tier tier = DetectHost();
-  return tier;
-}
-
-Tier ActiveTier() { return g_active_tier.load(std::memory_order_relaxed); }
-
-Tier SetActiveTier(Tier tier) {
-  const Tier capped = std::min(tier, DetectedTier());
-  g_active_tier.store(capped, std::memory_order_relaxed);
-  Rebind();
-  return capped;
-}
-
-void ResetActiveTier() { (void)SetActiveTier(DetectedTier()); }
-
-void SetFusedFma(bool enable) {
-  g_fused_fma.store(enable, std::memory_order_relaxed);
-  Rebind();
-}
-
-bool FusedFma() { return g_fused_fma.load(std::memory_order_relaxed); }
-
-const char* TierName(Tier tier) {
-  switch (tier) {
-    case Tier::kAvx512:
-      return "avx512";
-    case Tier::kAvx2:
-      return "avx2";
-    case Tier::kScalar:
-      break;
-  }
-  return "scalar";
 }
 
 }  // namespace simd

@@ -1,123 +1,59 @@
 #ifndef CAFE_COMMON_SIMD_H_
 #define CAFE_COMMON_SIMD_H_
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace cafe {
 namespace simd {
 
-/// Runtime-dispatched vector kernels for the embedding hot loops: the
-/// LookupBatch row gather, the ApplyGradientBatch clip+SGD scatter, the
-/// BatchDeduper clip+accumulate, and the dense-layer axpy updates.
+/// Vector kernels for the embedding hot loops: the LookupBatch row gather,
+/// the ApplyGradientBatch clip+SGD scatter, the BatchDeduper
+/// clip+accumulate, and the dense-layer axpy updates.
 ///
-/// Dispatch has three tiers, picked once at startup from cpuid and
-/// overridable at runtime (quiescent stores only) so benches can A/B the
-/// vector path against the scalar reference on the same host:
+/// Each op is written once, as a plain scalar loop in simd.cc, and compiled
+/// for the build's target ISA (the compiler vectorises it at -O3). The
+/// embedding loops are memory-bound, so there are no per-ISA variants.
 ///
-///   kScalar  — the original C++ loops. Always available; the only tier
-///              compiled under -DCAFE_NO_SIMD=ON or on non-x86 hosts.
-///   kAvx2    — 8-lane AVX2 kernels (per-function target attributes; no
-///              global -mavx2, so the rest of the binary stays baseline).
-///   kAvx512  — 16-lane AVX-512F kernels.
-///
-/// Exactness contract: in the default EXACT mode every kernel performs the
-/// SAME per-element IEEE op sequence as the scalar loop (clamp via vector
-/// min/max, then one multiply, then one subtract/add — tails via masked
-/// vector ops so the compiler cannot contract them into FMA), so results
-/// are bit-identical lane by lane and the scalar-vs-batched parity battery
-/// holds across tiers. The opt-in FUSED mode replaces multiply+subtract
-/// with a single-rounding FMA in the axpy kernels — up to 1/2 ulp per
-/// element tighter than scalar, NOT bit-identical — for deployments that
-/// prefer throughput+accuracy over reproducibility.
-enum class Tier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+/// Exactness contract: every kernel performs the per-element IEEE op
+/// sequence of the loop as written — clamp, then one multiply, then one
+/// subtract/add; simd.cc builds with -ffp-contract=off so no target fuses
+/// the multiply-add into an FMA — so results are bit-identical to the
+/// longhand loop, NaN and inf included, and the scalar-vs-batched parity
+/// battery holds on every host.
 
-/// Best tier the host (and build flags) support. Constant per process.
-Tier DetectedTier();
+/// Kernel flavour perfbench records in its report. Always "scalar": one
+/// plain loop per op.
+const char* ActiveTierName();
 
-/// Tier the kernels currently dispatch to (DetectedTier() unless forced).
-Tier ActiveTier();
-
-/// Forces dispatch to min(tier, DetectedTier()). Benches/tests only: not
-/// synchronized against threads concurrently inside a kernel, so switch at
-/// a quiescent point. Returns the tier actually activated.
-Tier SetActiveTier(Tier tier);
-
-/// Restores ActiveTier() to DetectedTier().
-void ResetActiveTier();
-
-/// Switches the axpy kernels between exact mode (default, multiply then
-/// subtract — bit-identical to scalar) and fused-FMA mode (one rounding,
-/// documented epsilon). No effect on the scalar tier.
-void SetFusedFma(bool enable);
-bool FusedFma();
-
-const char* TierName(Tier tier);
-inline const char* ActiveTierName() { return TierName(ActiveTier()); }
-
-namespace detail {
-
-struct Kernels {
-  void (*copy_row)(float*, const float*, uint32_t);
-  void (*axpy_neg)(float*, const float*, uint32_t, float);
-  void (*axpy_clip_neg)(float*, const float*, uint32_t, float, float);
-  void (*accum_clip)(float*, const float*, uint32_t, float);
-  void (*add_scaled)(float*, const float*, uint32_t, float);
-  void (*add_rows)(float*, const float*, const float*, uint32_t);
-  void (*mul_rows)(float*, const float*, const float*, uint32_t);
-};
-
-/// Constant-initialized to the scalar table (function addresses are
-/// constexpr), upgraded to the detected tier by a dynamic initializer in
-/// simd.cc — so kernels are callable even during static construction.
-extern std::atomic<const Kernels*> g_kernels;
-
-inline const Kernels& Active() {
-  return *g_kernels.load(std::memory_order_relaxed);
-}
-
-}  // namespace detail
-
-/// dst[0..d) = src[0..d). The LookupBatch gather body.
+/// dst[0..d) = src[0..d). The LookupBatch gather body. A memcpy: the C
+/// library already dispatches it by CPU.
 inline void CopyRow(float* dst, const float* src, uint32_t d) {
-  detail::Active().copy_row(dst, src, d);
+  std::memcpy(dst, src, d * sizeof(float));
 }
 
 /// row[k] -= lr * g[k] — the scatter body for pre-accumulated (already
 /// clipped) gradients and the dense SGD step.
-inline void AxpyNeg(float* row, const float* g, uint32_t d, float lr) {
-  detail::Active().axpy_neg(row, g, d, lr);
-}
+void AxpyNeg(float* row, const float* g, uint32_t d, float lr);
 
 /// row[k] -= lr * clamp(g[k], -bound, +bound) — the fused clip+SGD scatter
 /// body (bound = +inf when clipping is off, matching embed_internal::
 /// ClipBound).
-inline void AxpyClipNeg(float* row, const float* g, uint32_t d, float lr,
-                        float bound) {
-  detail::Active().axpy_clip_neg(row, g, d, lr, bound);
-}
+void AxpyClipNeg(float* row, const float* g, uint32_t d, float lr,
+                 float bound);
 
 /// acc[k] += clamp(g[k], -bound, +bound) — the BatchDeduper clip-on-read
 /// accumulate body.
-inline void AccumClip(float* acc, const float* g, uint32_t d, float bound) {
-  detail::Active().accum_clip(acc, g, d, bound);
-}
+void AccumClip(float* acc, const float* g, uint32_t d, float bound);
 
 /// dst[k] += a * src[k] — the dense-layer backward outer-product rows.
-inline void AddScaled(float* dst, const float* src, uint32_t d, float a) {
-  detail::Active().add_scaled(dst, src, d, a);
-}
+void AddScaled(float* dst, const float* src, uint32_t d, float a);
 
 /// dst[k] = a[k] + b[k] — the QR additive-combine lookup body.
-inline void AddRows(float* dst, const float* a, const float* b, uint32_t d) {
-  detail::Active().add_rows(dst, a, b, d);
-}
+void AddRows(float* dst, const float* a, const float* b, uint32_t d);
 
 /// dst[k] = a[k] * b[k] — the QR multiplicative-combine lookup body.
-inline void MulRows(float* dst, const float* a, const float* b, uint32_t d) {
-  detail::Active().mul_rows(dst, a, b, d);
-}
+void MulRows(float* dst, const float* a, const float* b, uint32_t d);
 
 }  // namespace simd
 }  // namespace cafe

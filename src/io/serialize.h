@@ -94,6 +94,9 @@ class Reader {
     if (size > remaining()) {
       return Status::OutOfRange("serialized data truncated");
     }
+    // Empty payloads may arrive with out == nullptr (an empty vector's
+    // data()), and memcpy from or to nullptr is undefined even for size 0.
+    if (size == 0) return Status::OK();
     std::memcpy(out, bytes_->data() + pos_, size);
     pos_ += size;
     return Status::OK();

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/hash.h"
-#include "common/prefetch.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "common/status.h"
@@ -277,125 +278,86 @@ TEST(ZipfTest, FitDegenerateInputsReturnZero) {
 }
 
 
-// ---------------------------------------------------------------- Prefetch --
-
-TEST(PrefetchTest, DistanceDefaultsAndIsTunable) {
-  EXPECT_EQ(PrefetchDistance(), kDefaultPrefetchDistance);
-  SetPrefetchDistance(3);
-  EXPECT_EQ(PrefetchDistance(), 3u);
-  SetPrefetchDistance(0);  // the sweep's "off" point
-  EXPECT_EQ(PrefetchDistance(), 0u);
-  SetPrefetchDistance(kDefaultPrefetchDistance);
-}
-
 // -------------------------------------------------------------------- SIMD --
 
-// Guards SetActiveTier/ResetActiveTier around a test body.
-class SimdTierTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    simd::ResetActiveTier();
-    simd::SetFusedFma(false);
-  }
-};
-
-TEST_F(SimdTierTest, ActiveTierCapsAtDetected) {
-  const simd::Tier detected = simd::DetectedTier();
-  EXPECT_EQ(simd::ActiveTier(), detected);
-  EXPECT_EQ(simd::SetActiveTier(simd::Tier::kScalar), simd::Tier::kScalar);
-  EXPECT_EQ(simd::ActiveTier(), simd::Tier::kScalar);
-  EXPECT_EQ(simd::SetActiveTier(simd::Tier::kAvx512), detected);
-}
-
-TEST_F(SimdTierTest, TierNamesAreStable) {
-  EXPECT_STREQ(simd::TierName(simd::Tier::kScalar), "scalar");
-  EXPECT_STREQ(simd::TierName(simd::Tier::kAvx2), "avx2");
-  EXPECT_STREQ(simd::TierName(simd::Tier::kAvx512), "avx512");
-}
-
-// The exactness contract: every vector tier reproduces the scalar loop bit
-// for bit, for every kernel, including masked tails and non-power-of-two
-// coefficients (which expose any FMA contraction).
-TEST_F(SimdTierTest, ExactKernelsAreBitIdenticalToScalarReference) {
+// The exactness contract: every kernel reproduces the longhand scalar loop
+// bit for bit, including vector tails and non-power-of-two coefficients
+// (which expose any FMA contraction), with clipping on and off, and with NaN
+// and +-inf gradients (which expose a clamp that is not std::clamp).
+TEST(SimdTierTest, ExactKernelsAreBitIdenticalToScalarReference) {
   Rng rng(7);
-  const float lr = 0.037f;       // not a power of two
-  const float bound = 0.75f;
-  for (int tier_i = 0; tier_i <= static_cast<int>(simd::DetectedTier());
-       ++tier_i) {
-    const simd::Tier tier = static_cast<simd::Tier>(tier_i);
-    ASSERT_EQ(simd::SetActiveTier(tier), tier);
-    for (uint32_t d : {1u, 5u, 8u, 13u, 16u, 17u, 32u, 33u, 64u, 100u}) {
-      std::vector<float> row(d), g(d), a(d), b(d);
-      for (auto& x : row) x = rng.UniformFloat(-2.0f, 2.0f);
-      for (auto& x : g) x = rng.UniformFloat(-2.0f, 2.0f);
-      for (auto& x : a) x = rng.UniformFloat(-2.0f, 2.0f);
-      for (auto& x : b) x = rng.UniformFloat(-2.0f, 2.0f);
+  const float lr = 0.037f;  // not a power of two
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kSpecials[] = {std::numeric_limits<float>::quiet_NaN(), kInf,
+                             -kInf};
+  for (const float bound : {0.75f, kInf}) {
+    for (const bool specials : {false, true}) {
+      for (uint32_t d : {1u, 5u, 8u, 13u, 16u, 17u, 32u, 33u, 64u, 100u}) {
+        std::vector<float> row(d), g(d), a(d), b(d);
+        for (auto& x : row) x = rng.UniformFloat(-2.0f, 2.0f);
+        for (auto& x : g) x = rng.UniformFloat(-2.0f, 2.0f);
+        for (auto& x : a) x = rng.UniformFloat(-2.0f, 2.0f);
+        for (auto& x : b) x = rng.UniformFloat(-2.0f, 2.0f);
+        if (specials) {
+          // Spread NaN/+inf/-inf over both vector bodies and tails.
+          for (uint32_t k = 0; k < d; k += 3) {
+            g[k] = kSpecials[(k / 3) % 3];
+            a[k] = kSpecials[(k / 3 + 1) % 3];
+          }
+        }
 
-      // Scalar references, computed longhand.
-      std::vector<float> want_axpy(row), want_clip(row), want_acc(row),
-          want_scaled(row), want_add(d), want_mul(d);
-      for (uint32_t k = 0; k < d; ++k) {
-        want_axpy[k] -= lr * g[k];
-        const float cg = std::clamp(g[k], -bound, bound);
-        want_clip[k] -= lr * cg;
-        want_acc[k] += cg;
-        want_scaled[k] += lr * g[k];
-        want_add[k] = a[k] + b[k];
-        want_mul[k] = a[k] * b[k];
+        // Scalar references, computed longhand.
+        std::vector<float> want_axpy(row), want_clip(row), want_acc(row),
+            want_scaled(row), want_add(d), want_mul(d);
+        for (uint32_t k = 0; k < d; ++k) {
+          want_axpy[k] -= lr * g[k];
+          const float cg = std::clamp(g[k], -bound, bound);
+          want_clip[k] -= lr * cg;
+          want_acc[k] += cg;
+          want_scaled[k] += lr * g[k];
+          want_add[k] = a[k] + b[k];
+          want_mul[k] = a[k] * b[k];
+        }
+        const std::string where = " d=" + std::to_string(d) +
+                                  " bound=" + std::to_string(bound) +
+                                  " specials=" + std::to_string(specials);
+
+        std::vector<float> out(row);
+        simd::AxpyNeg(out.data(), g.data(), d, lr);
+        EXPECT_EQ(0, std::memcmp(out.data(), want_axpy.data(), d * 4))
+            << "axpy_neg" << where;
+
+        out = row;
+        simd::AxpyClipNeg(out.data(), g.data(), d, lr, bound);
+        EXPECT_EQ(0, std::memcmp(out.data(), want_clip.data(), d * 4))
+            << "axpy_clip_neg" << where;
+
+        out = row;
+        simd::AccumClip(out.data(), g.data(), d, bound);
+        EXPECT_EQ(0, std::memcmp(out.data(), want_acc.data(), d * 4))
+            << "accum_clip" << where;
+
+        out = row;
+        simd::AddScaled(out.data(), g.data(), d, lr);
+        EXPECT_EQ(0, std::memcmp(out.data(), want_scaled.data(), d * 4))
+            << "add_scaled" << where;
+
+        out.assign(d, 0.0f);
+        simd::AddRows(out.data(), a.data(), b.data(), d);
+        EXPECT_EQ(0, std::memcmp(out.data(), want_add.data(), d * 4))
+            << "add_rows" << where;
+
+        out.assign(d, 0.0f);
+        simd::MulRows(out.data(), a.data(), b.data(), d);
+        EXPECT_EQ(0, std::memcmp(out.data(), want_mul.data(), d * 4))
+            << "mul_rows" << where;
+
+        out.assign(d, 0.0f);
+        simd::CopyRow(out.data(), g.data(), d);
+        EXPECT_EQ(0, std::memcmp(out.data(), g.data(), d * 4))
+            << "copy_row" << where;
       }
-
-      std::vector<float> out(row);
-      simd::AxpyNeg(out.data(), g.data(), d, lr);
-      EXPECT_EQ(0, std::memcmp(out.data(), want_axpy.data(), d * 4))
-          << "axpy_neg tier=" << simd::TierName(tier) << " d=" << d;
-
-      out = row;
-      simd::AxpyClipNeg(out.data(), g.data(), d, lr, bound);
-      EXPECT_EQ(0, std::memcmp(out.data(), want_clip.data(), d * 4))
-          << "axpy_clip_neg tier=" << simd::TierName(tier) << " d=" << d;
-
-      out = row;
-      simd::AccumClip(out.data(), g.data(), d, bound);
-      EXPECT_EQ(0, std::memcmp(out.data(), want_acc.data(), d * 4))
-          << "accum_clip tier=" << simd::TierName(tier) << " d=" << d;
-
-      out = row;
-      simd::AddScaled(out.data(), g.data(), d, lr);
-      EXPECT_EQ(0, std::memcmp(out.data(), want_scaled.data(), d * 4))
-          << "add_scaled tier=" << simd::TierName(tier) << " d=" << d;
-
-      out.assign(d, 0.0f);
-      simd::AddRows(out.data(), a.data(), b.data(), d);
-      EXPECT_EQ(0, std::memcmp(out.data(), want_add.data(), d * 4))
-          << "add_rows tier=" << simd::TierName(tier) << " d=" << d;
-
-      out.assign(d, 0.0f);
-      simd::MulRows(out.data(), a.data(), b.data(), d);
-      EXPECT_EQ(0, std::memcmp(out.data(), want_mul.data(), d * 4))
-          << "mul_rows tier=" << simd::TierName(tier) << " d=" << d;
-
-      out.assign(d, 0.0f);
-      simd::CopyRow(out.data(), g.data(), d);
-      EXPECT_EQ(0, std::memcmp(out.data(), g.data(), d * 4))
-          << "copy_row tier=" << simd::TierName(tier) << " d=" << d;
     }
-  }
-}
-
-// Fused mode single-rounds the multiply-accumulate: at most 1/2 ulp from
-// the exact result per element, and a no-op on the scalar tier.
-TEST_F(SimdTierTest, FusedFmaStaysWithinEpsilon) {
-  simd::SetFusedFma(true);
-  Rng rng(11);
-  constexpr uint32_t d = 33;
-  const float lr = 0.037f;
-  std::vector<float> row(d), g(d);
-  for (auto& x : row) x = rng.UniformFloat(-2.0f, 2.0f);
-  for (auto& x : g) x = rng.UniformFloat(-2.0f, 2.0f);
-  std::vector<float> out(row);
-  simd::AxpyNeg(out.data(), g.data(), d, lr);
-  for (uint32_t k = 0; k < d; ++k) {
-    EXPECT_NEAR(out[k], row[k] - lr * g[k], 1e-6f) << k;
   }
 }
 
