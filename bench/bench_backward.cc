@@ -23,15 +23,9 @@
 //    full sketch/score sections; the MEDIAN is reported (the steady-state
 //    pause), which is what the rollout path pays between ticks.
 //
-// 3. Sharded backward scaling: the strided scatter fanned out over a
-//    ThreadPool at 1..N row shards (bit-identical to serial), every store,
-//    reported as updates/sec per thread count — the backward_scaling
-//    section of the JSON.
-//
-// Usage: bench_backward [--smoke] [--json <path>] [--threads <n>]
+// Usage: bench_backward [--smoke] [--json <path>]
 //   --smoke    CI-sized spaces and fewer rounds
 //   --json     write BENCH_backward.json-style machine-readable results
-//   --threads  top of the scaling sweep (default: host concurrency, min 2)
 
 #include <algorithm>
 #include <cstdio>
@@ -41,7 +35,6 @@
 
 #include "bench/bench_common.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/zipf.h"
 #include "io/serialize.h"
@@ -188,101 +181,6 @@ void RunBackwardWorkload(const IdWorkload& w, const BenchShape& shape,
   bench::PrintRule(72);
 }
 
-struct ScalingRow {
-  std::string store;
-  double cr = 0.0;
-  uint64_t threads = 0;
-  double updates_per_sec = 0.0;
-  double speedup_vs_serial = 0.0;
-};
-
-/// Thread counts to sweep: powers of two through max(4, `max_threads`),
-/// plus `max_threads` itself — 4 is always measured because that is the
-/// scaling point the README table tracks across hosts.
-std::vector<size_t> ScalingSweep(size_t max_threads) {
-  std::vector<size_t> sweep;
-  for (size_t t = 1; t <= std::max<size_t>(4, max_threads); t *= 2) {
-    sweep.push_back(t);
-  }
-  if (std::find(sweep.begin(), sweep.end(), max_threads) == sweep.end()) {
-    sweep.push_back(max_threads);
-    std::sort(sweep.begin(), sweep.end());
-  }
-  return sweep;
-}
-
-/// The sharded-backward scaling sweep: every store, strided scatter through
-/// ApplyGradientBatchSharded at each thread count (1 = the serial path), a
-/// FRESH warmed store per point so adaptive state is identical across the
-/// sweep. The parallel path is bit-identical to serial
-/// (tests/batched_parity_test.cc ShardedBackward battery); this only prices
-/// the fan-out.
-void RunBackwardScaling(const IdWorkload& w, const BenchShape& shape,
-                        size_t max_threads, std::vector<ScalingRow>* rows) {
-  const size_t grad_stride = kNumBatches * kDim;
-  Rng grad_rng(7);
-  std::vector<float> grads(kBatchSize * grad_stride);
-  for (float& g : grads) g = grad_rng.UniformFloat(-2.0f, 2.0f);
-  const std::vector<size_t> sweep = ScalingSweep(max_threads);
-
-  std::printf(
-      "\nsharded backward scaling (workload \"%s\", up to %zu threads, "
-      "median of %d rounds)\n",
-      w.name.c_str(), sweep.back(), shape.rounds);
-  std::printf("%-8s %6s", "method", "CR");
-  for (const size_t t : sweep) std::printf(" %9zu thr", t);
-  std::printf("  speedup@max\n");
-  bench::PrintRule(72);
-
-  for (const MethodCase& c : kAllStores) {
-    double serial_rate = 0.0;
-    std::printf("%-8s %6.0f", c.name, c.cr);
-    for (const size_t t : sweep) {
-      auto store_or =
-          MakeStore(c.name, bench::MakeMicrobenchContext(w, kDim, c.cr));
-      if (!store_or.ok()) {
-        std::printf("  infeasible");
-        break;
-      }
-      EmbeddingStore* store = store_or->get();
-      ThreadPool pool(t);
-      ThreadPool* pool_ptr = t > 1 ? &pool : nullptr;
-      // Warm adaptive state through the same path that gets measured.
-      for (size_t f = 0; f < kNumBatches; ++f) {
-        store->ApplyGradientBatchSharded(w.ids.data() + f * kBatchSize,
-                                         kBatchSize, grads.data() + f * kDim,
-                                         grad_stride, kLr, kClip, pool_ptr,
-                                         static_cast<uint32_t>(t));
-        store->Tick();
-      }
-      std::vector<double> seconds;
-      WallTimer timer;
-      for (int round = 0; round < shape.rounds; ++round) {
-        timer.Restart();
-        for (size_t f = 0; f < kNumBatches; ++f) {
-          store->ApplyGradientBatchSharded(
-              w.ids.data() + f * kBatchSize, kBatchSize,
-              grads.data() + f * kDim, grad_stride, kLr, kClip, pool_ptr,
-              static_cast<uint32_t>(t));
-          store->Tick();
-        }
-        seconds.push_back(timer.ElapsedSeconds());
-      }
-      const double rate =
-          static_cast<double>(w.ids.size()) / Median(seconds);
-      if (t == 1) serial_rate = rate;
-      std::printf(" %13.3e", rate);
-      rows->push_back({c.name, c.cr, static_cast<uint64_t>(t), rate,
-                       serial_rate > 0.0 ? rate / serial_rate : 0.0});
-    }
-    if (!rows->empty() && rows->back().store == c.name) {
-      std::printf("  %9.2fx", rows->back().speedup_vs_serial);
-    }
-    std::printf("\n");
-  }
-  bench::PrintRule(72);
-}
-
 struct CutRow {
   std::string store;
   double cr = 0.0;
@@ -378,7 +276,6 @@ void RunSnapshotCuts(const IdWorkload& w, const BenchShape& shape,
 
 void WriteJson(const std::string& path, const BenchShape& shape, bool smoke,
                const std::vector<BackwardRow>& backward,
-               const std::vector<ScalingRow>& scaling,
                const std::vector<CutRow>& cuts) {
   bench::JsonWriter json;
   json.BeginObject();
@@ -414,18 +311,6 @@ void WriteJson(const std::string& path, const BenchShape& shape, bool smoke,
     json.Field("strided_updates_per_sec", row.rates.strided_per_sec);
     json.Field("speedup", row.rates.Speedup());
     json.Field("memory_mb", row.memory_mb);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.Key("backward_scaling");
-  json.BeginArray();
-  for (const ScalingRow& row : scaling) {
-    json.BeginObject();
-    json.Field("store", row.store);
-    json.Field("cr", row.cr);
-    json.Field("threads", row.threads);
-    json.Field("updates_per_sec", row.updates_per_sec);
-    json.Field("speedup_vs_serial", row.speedup_vs_serial);
     json.EndObject();
   }
   json.EndArray();
@@ -468,9 +353,6 @@ void Run(const bench::BenchArgs& args) {
   RunBackwardWorkload(global, shape, &backward_rows);
   RunBackwardWorkload(layer, shape, &backward_rows);
 
-  std::vector<ScalingRow> scaling_rows;
-  RunBackwardScaling(layer, shape, args.threads, &scaling_rows);
-
   std::vector<CutRow> cut_rows;
   RunSnapshotCuts(layer, shape, &cut_rows);
 
@@ -484,8 +366,7 @@ void Run(const bench::BenchArgs& args) {
       "size.\n");
 
   if (!args.json_path.empty()) {
-    WriteJson(args.json_path, shape, args.smoke, backward_rows, scaling_rows,
-              cut_rows);
+    WriteJson(args.json_path, shape, args.smoke, backward_rows, cut_rows);
   }
 }
 

@@ -268,9 +268,8 @@ struct BenchArgs {
   bool smoke = false;
   std::string json_path;  // empty = no JSON output
   /// Worker threads for the benches' parallel sections (serving workers,
-  /// hot-swap clients, the backward scaling sweep). Defaults to the host's
-  /// concurrency, floor 2, so single-core CI still exercises the
-  /// multi-threaded paths.
+  /// hot-swap clients). Defaults to the host's concurrency, floor 2, so
+  /// single-core CI still exercises the multi-threaded paths.
   size_t threads = std::max<size_t>(2, std::thread::hardware_concurrency());
   /// bench_replication's rejoin scenario: kill the durable replica once it
   /// has applied this generation (0 = the bench's default kill point). The

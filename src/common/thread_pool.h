@@ -12,33 +12,14 @@
 
 namespace cafe {
 
-/// Deterministic physical-row -> shard owner map for the parallel backward.
+/// Kept only because perfbench/ compiles against it; nothing in src/ uses it.
 ///
-/// Every sharded scatter path partitions its row space with THIS function,
-/// so a row has exactly one writer regardless of which worker claims which
-/// shard — the no-atomics, no-locks invariant of the whole scheme. The
-/// multiply-xor mix (splitmix64's finalizer core) spreads Zipf-hot ids that
-/// land on consecutive or equal-modulus rows across shards; a plain
-/// `row % num_shards` would let a handful of hot rows serialize one shard.
-inline uint32_t ShardOfRow(uint64_t row, uint32_t num_shards) {
-  uint64_t x = row * 0x9E3779B97F4A7C15ULL;
-  x ^= x >> 32;
-  return static_cast<uint32_t>(x % num_shards);
-}
-
-/// Persistent worker pool for the sharded embedding backward.
-///
-/// Construction spawns num_threads - 1 workers; the thread calling
-/// ParallelFor participates as the num_threads-th, so a pool of 1 spawns
-/// nothing and runs inline. Workers park on a condition variable between
-/// jobs — the pool is built once per training pass, not per batch, so the
-/// per-batch cost is one notify + one join handshake.
-///
-/// ParallelFor distributes task indices dynamically (atomic counter): legal
-/// here because tasks are SHARDS owning disjoint rows, so claim order can
-/// not change any result — determinism comes from the shard partition, not
-/// from the schedule. One job runs at a time; ParallelFor is not reentrant
-/// and must always be driven by the same (trainer) thread.
+/// Persistent worker pool. Construction spawns num_threads - 1 workers; the
+/// thread calling ParallelFor participates as the num_threads-th, so a pool
+/// of 1 spawns nothing and runs inline. Workers park on a condition
+/// variable between jobs. ParallelFor distributes task indices dynamically
+/// (atomic counter); one job runs at a time, and ParallelFor is not
+/// reentrant and must always be driven by the same thread.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads) {

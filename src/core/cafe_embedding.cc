@@ -9,8 +9,7 @@
 #include "common/prefetch.h"
 #include "common/random.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
-#include "obs/trace.h"
+#include "obs/metrics.h"
 
 namespace cafe {
 
@@ -312,15 +311,6 @@ bool CafeEmbedding::TryPromote(uint64_t id, HotSketch::Slot* slot) {
   // so its representation evolves smoothly across the promotion (§3.3).
   const bool was_medium = config_.use_multi_level &&
                           slot->GuaranteedScore() >= medium_threshold_;
-  // Sharded batch: the copy reads the shared row(s) and overwrites the
-  // claimed hot row, so their pending deferred SGD must land first (no-ops
-  // outside a sharded batch).
-  FlushRow(static_cast<uint64_t>(row));
-  FlushRow(plan_.hot_capacity + hash_a_.Bounded(id, plan_.shared_rows_a));
-  if (was_medium && plan_.shared_rows_b > 0) {
-    FlushRow(plan_.hot_capacity + plan_.shared_rows_a +
-             hash_b_.Bounded(id, plan_.shared_rows_b));
-  }
   SharedLookup(id, was_medium,
                hot_table_.data() +
                    static_cast<size_t>(row) * config_.embedding.dim);
@@ -384,111 +374,8 @@ void CafeEmbedding::ApplyGradientBatch(const uint64_t* ids, size_t n,
       static_cast<double>(victim_queue_.size() - victim_idx_));
 }
 
-void CafeEmbedding::ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
-                                              const float* grads,
-                                              size_t grad_stride, float lr,
-                                              float clip, ThreadPool* pool,
-                                              uint32_t num_shards) {
-  if (pool == nullptr || num_shards <= 1) {
-    ApplyGradientBatch(ids, n, grads, grad_stride, lr, clip);
-    return;
-  }
-  // Per-phase timing feeds the trainer's backward split (accumulate /
-  // decide / scatter); batch-granular, so the cost is three clock pairs
-  // per backward call regardless of batch size.
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  static obs::Histogram* const accumulate_hist = registry.GetHistogram(
-      "train.backward.accumulate_us", obs::DefaultTimeBucketsUs());
-  static obs::Histogram* const decide_hist = registry.GetHistogram(
-      "train.backward.decide_us", obs::DefaultTimeBucketsUs());
-  static obs::Histogram* const scatter_hist = registry.GetHistogram(
-      "train.backward.scatter_us", obs::DefaultTimeBucketsUs());
-
-  const uint32_t d = config_.embedding.dim;
-  dedup_.Build(ids, n);
-  const size_t num_unique = dedup_.num_unique();
-  Obs().RecordBackward(n, num_unique);
-  grad_accum_.resize(num_unique * d);
-  importance_accum_.resize(num_unique);
-
-  // Phase A: gradient + importance accumulation, sharded by unique index.
-  // Each worker scans the full occurrence stream and sums only its own
-  // unique ids' slices in stream order, so every accumulator is
-  // bit-identical to the serial reduction.
-  obs::ScopedTimer accumulate_timer("backward.accumulate", accumulate_hist);
-  pool->ParallelFor(num_shards, [&](uint32_t shard) {
-    dedup_.AccumulateRowsSharded(
-        grads, n, d, grad_stride, clip, grad_accum_.data(),
-        [&](size_t u) { return ShardOfRow(u, num_shards) == shard; });
-    if (config_.importance == ImportanceMetric::kFrequency) {
-      const size_t begin = num_unique * shard / num_shards;
-      const size_t end = num_unique * (shard + 1) / num_shards;
-      for (size_t u = begin; u < end; ++u) {
-        importance_accum_[u] = static_cast<double>(dedup_.count(u));
-      }
-    } else {
-      dedup_.AccumulateNormsSharded(
-          grads, n, d, grad_stride, clip, importance_accum_.data(),
-          [&](size_t u) { return ShardOfRow(u, num_shards) == shard; });
-    }
-  });
-
-  accumulate_timer.Finish();
-
-  // Phase B: the serial decision machine, unchanged from the serial path
-  // (sketch insertion, eviction, promotion, demotion, counters, and every
-  // dirty mark happen on this thread in unique order), with the SGD steps
-  // deferred as per-row op chains. TryPromote flushes a row's chain before
-  // touching its floats, so migration copies see serial-identical bytes.
-  obs::ScopedTimer decide_timer("backward.decide", decide_hist);
-  const uint64_t total_rows =
-      plan_.hot_capacity + plan_.shared_rows_a + plan_.shared_rows_b;
-  if (row_gen_.size() < total_rows) {
-    row_gen_.assign(total_rows, 0);
-    row_head_.resize(total_rows);
-    row_tail_.resize(total_rows);
-  }
-  ++batch_gen_;
-  deferred_lr_ = lr;
-  deferred_ops_.clear();
-  const std::vector<uint64_t>& unique = dedup_.unique_ids();
-  for (size_t u = 0; u < num_unique; ++u) {
-    if (u + PrefetchDistance() < num_unique) {
-      sketch_.PrefetchBucket(unique[u + PrefetchDistance()]);
-    }
-    ApplyGradientOne(unique[u], grad_accum_.data() + u * d, lr,
-                     importance_accum_[u], static_cast<int64_t>(u));
-  }
-  decide_timer.Finish();
-
-  // Phase C: parallel scatter of the undrained ops, sharded by global row.
-  // All ops on one row share an owner and sit in decision order in the op
-  // list, so each row replays its serial SGD sequence exactly; rows are
-  // disjoint across shards, so no float is written by two workers.
-  const size_t num_ops = deferred_ops_.size();
-  obs::ScopedTimer scatter_timer("backward.scatter", scatter_hist);
-  pool->ParallelFor(num_shards, [&](uint32_t shard) {
-    for (size_t i = 0; i < num_ops; ++i) {
-      const DeferredOp& op = deferred_ops_[i];
-      if (op.applied || ShardOfRow(op.row, num_shards) != shard) continue;
-      if (i + PrefetchDistance() < num_ops) {
-        const DeferredOp& ahead = deferred_ops_[i + PrefetchDistance()];
-        if (!ahead.applied && ShardOfRow(ahead.row, num_shards) == shard) {
-          PrefetchWrite(RowAtGlobal(ahead.row));
-        }
-      }
-      float* dst = RowAtGlobal(op.row);
-      const float* g = grad_accum_.data() + static_cast<size_t>(op.u) * d;
-      simd::AxpyNeg(dst, g, d, lr);
-    }
-  });
-  scatter_timer.Finish();
-  obs_victim_queue_depth_->Set(
-      static_cast<double>(victim_queue_.size() - victim_idx_));
-}
-
 void CafeEmbedding::ApplyGradientOne(uint64_t id, const float* grad, float lr,
-                                     double importance, int64_t defer_u) {
+                                     double importance) {
   const uint32_t d = config_.embedding.dim;
   const bool track = dirty_hot_.enabled();
   HotSketch::InsertResult res = sketch_.Insert(id, importance);
@@ -540,11 +427,6 @@ void CafeEmbedding::ApplyGradientOne(uint64_t id, const float* grad, float lr,
 
   if (slot->payload >= 0) {
     if (track) dirty_hot_.Mark(static_cast<uint64_t>(slot->payload));
-    if (defer_u >= 0) {
-      DeferOp(static_cast<uint64_t>(slot->payload),
-              static_cast<uint32_t>(defer_u));
-      return;
-    }
     float* row =
         hot_table_.data() + static_cast<size_t>(slot->payload) * d;
     simd::AxpyNeg(row, grad, d, lr);
@@ -559,50 +441,13 @@ void CafeEmbedding::ApplyGradientOne(uint64_t id, const float* grad, float lr,
     // Pooled-by-sum embedding: the gradient flows to both rows unchanged.
     const uint64_t row_b = hash_b_.Bounded(id, plan_.shared_rows_b);
     if (track) dirty_shared_b_.Mark(row_b);
-    if (defer_u >= 0) {
-      DeferOp(plan_.hot_capacity + row_a, static_cast<uint32_t>(defer_u));
-      DeferOp(plan_.hot_capacity + plan_.shared_rows_a + row_b,
-              static_cast<uint32_t>(defer_u));
-      return;
-    }
     float* b = shared_b_.data() + row_b * d;
     // The two pooled rows never alias (separate arrays), so the interleaved
     // update splits into two axpy passes with the same per-element rounding.
     simd::AxpyNeg(a, grad, d, lr);
     simd::AxpyNeg(b, grad, d, lr);
   } else {
-    if (defer_u >= 0) {
-      DeferOp(plan_.hot_capacity + row_a, static_cast<uint32_t>(defer_u));
-      return;
-    }
     simd::AxpyNeg(a, grad, d, lr);
-  }
-}
-
-void CafeEmbedding::DeferOp(uint64_t row, uint32_t u) {
-  const int32_t op = static_cast<int32_t>(deferred_ops_.size());
-  deferred_ops_.push_back(DeferredOp{row, u, /*next=*/-1, /*applied=*/false});
-  if (row_gen_[row] != batch_gen_) {
-    row_gen_[row] = batch_gen_;
-    row_head_[row] = op;
-  } else {
-    deferred_ops_[row_tail_[row]].next = op;
-  }
-  row_tail_[row] = op;
-}
-
-void CafeEmbedding::FlushRow(uint64_t row) {
-  if (row >= row_gen_.size() || row_gen_[row] != batch_gen_) return;
-  const uint32_t d = config_.embedding.dim;
-  float* dst = RowAtGlobal(row);
-  // Chain order is decision order, so the drained prefix reproduces the
-  // serial machine's float state at this point of the unique stream.
-  for (int32_t op = row_head_[row]; op >= 0; op = deferred_ops_[op].next) {
-    DeferredOp& o = deferred_ops_[op];
-    if (o.applied) continue;
-    const float* g = grad_accum_.data() + static_cast<size_t>(o.u) * d;
-    for (uint32_t k = 0; k < d; ++k) dst[k] -= deferred_lr_ * g[k];
-    o.applied = true;
   }
 }
 

@@ -58,10 +58,6 @@ class CafeEmbedding : public EmbeddingStore {
   using EmbeddingStore::ApplyGradientBatch;
   void ApplyGradientBatch(const uint64_t* ids, size_t n, const float* grads,
                           size_t grad_stride, float lr, float clip) override;
-  void ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
-                                 const float* grads, size_t grad_stride,
-                                 float lr, float clip, ThreadPool* pool,
-                                 uint32_t num_shards) override;
   void Tick() override;
   size_t MemoryBytes() const override;
   std::string Name() const override {
@@ -102,13 +98,9 @@ class CafeEmbedding : public EmbeddingStore {
 
   /// Sketch insertion, promotion/demotion, and the SGD step for one feature
   /// whose batch importance is `importance` (gradient-norm metric: L2 norm
-  /// of `grad`; frequency metric: number of occurrences). With `defer_u >= 0`
-  /// (the sharded batch path) the decision machine runs unchanged but the
-  /// SGD step is recorded as a deferred op on the target global row(s) for
-  /// the parallel scatter instead of applied inline; `defer_u` is the
-  /// feature's unique index into `grad_accum_`.
+  /// of `grad`; frequency metric: number of occurrences).
   void ApplyGradientOne(uint64_t id, const float* grad, float lr,
-                        double importance, int64_t defer_u = -1);
+                        double importance);
 
   /// Writes the shared-table representation of `id` (used for cold/medium
   /// lookups and as migration initialization).
@@ -192,44 +184,6 @@ class CafeEmbedding : public EmbeddingStore {
     const float* b = nullptr;
   };
   std::vector<ResolvedRow> row_ptr_scratch_;  // num_unique
-
-  // Deferred-SGD machinery for the sharded batch path. CAFE's migration
-  // decisions are inherently sequential (each Insert/promotion/demotion
-  // depends on the sketch state left by the previous one), so the sharded
-  // backward runs the decision machine serially and defers only the
-  // embarrassingly-parallel part — the dim-wide SGD steps — as ops keyed by
-  // GLOBAL row: hot [0, H), shared A [H, H+A), shared B [H+A, H+A+B).
-  // Ops on one row chain together in decision order; when the machine must
-  // read or overwrite a row's floats mid-batch (TryPromote's migration
-  // copy), FlushRow drains that row's chain first so the floats match the
-  // serial machine at that point of the unique stream. Generation stamps
-  // make chain reset O(touched rows) per batch.
-  struct DeferredOp {
-    uint64_t row;    // global row index
-    uint32_t u;      // unique index into grad_accum_
-    int32_t next;    // next op on the same row, -1 = end
-    bool applied;    // drained by FlushRow before the parallel scatter
-  };
-  float* RowAtGlobal(uint64_t row) {
-    const uint32_t d = config_.embedding.dim;
-    if (row < plan_.hot_capacity) {
-      return hot_table_.data() + static_cast<size_t>(row) * d;
-    }
-    row -= plan_.hot_capacity;
-    if (row < plan_.shared_rows_a) {
-      return shared_a_.data() + static_cast<size_t>(row) * d;
-    }
-    return shared_b_.data() +
-           static_cast<size_t>(row - plan_.shared_rows_a) * d;
-  }
-  void DeferOp(uint64_t row, uint32_t u);
-  void FlushRow(uint64_t row);
-  std::vector<DeferredOp> deferred_ops_;
-  std::vector<uint64_t> row_gen_;   // per global row, last batch generation
-  std::vector<int32_t> row_head_;   // per global row, first pending op
-  std::vector<int32_t> row_tail_;   // per global row, last pending op
-  uint64_t batch_gen_ = 0;
-  float deferred_lr_ = 0.0f;
 
   /// Marks the bucket owning sketch slot `slot_index` dirty.
   void MarkBucket(int64_t slot_index) {

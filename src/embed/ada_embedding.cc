@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/prefetch.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace cafe {
 
@@ -145,92 +144,6 @@ void AdaEmbedding::ApplyGradientBatch(const uint64_t* ids, size_t n,
     ApplyOne(dedup_.unique_id(u), grad_accum_.data() + u * d, lr,
              importance_accum_[u]);
   }
-}
-
-void AdaEmbedding::ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
-                                             const float* grads,
-                                             size_t grad_stride, float lr,
-                                             float clip, ThreadPool* pool,
-                                             uint32_t num_shards) {
-  if (pool == nullptr || num_shards <= 1) {
-    ApplyGradientBatch(ids, n, grads, grad_stride, lr, clip);
-    return;
-  }
-  // Three phases, bit-identical to the serial dedup'd path because the SGD
-  // targets of a batch are disjoint rows (row_of_ is a bijection over
-  // allocated features and cold starts claim FREE rows), so hoisting the
-  // scatter out of the per-unique loop reorders only independent writes:
-  //   A (parallel)  accumulate gradients + importance per unique, workers
-  //                 partitioned by unique index;
-  //   B (serial)    score updates, cold-start claims (sequential rng_),
-  //                 dirty marks — every stateful decision, in unique order;
-  //   C (parallel)  the SGD scatter, workers partitioned by physical row.
-  const uint32_t d = config_.dim;
-  dedup_.Build(ids, n);
-  const size_t num_unique = dedup_.num_unique();
-  Obs().RecordBackward(n, num_unique);
-  grad_accum_.resize(num_unique * d);
-  importance_accum_.resize(num_unique);
-  pool->ParallelFor(num_shards, [&](uint32_t shard) {
-    const auto owns = [num_shards, shard](uint32_t u) {
-      return ShardOfRow(u, num_shards) == shard;
-    };
-    dedup_.AccumulateRowsSharded(grads, n, d, grad_stride, clip,
-                                 grad_accum_.data(), owns);
-    dedup_.AccumulateNormsSharded(grads, n, d, grad_stride, clip,
-                                  importance_accum_.data(), owns);
-  });
-
-  // Phase B marks dirty state on this thread in unique order — exactly the
-  // serial path's first-touch order — so no per-shard staging is needed.
-  const bool track = dirty_features_.enabled();
-  row_scratch_.resize(num_unique);
-  const float bound = embed_internal::InitBound(d);
-  for (size_t u = 0; u < num_unique; ++u) {
-    const uint64_t id = dedup_.unique_id(u);
-    CAFE_DCHECK(id < config_.total_features);
-    if (track) dirty_features_.Mark(id);
-    scores_[id] += static_cast<float>(importance_accum_[u]);
-    int32_t row = row_of_[id];
-    if (row < 0) {
-      if (free_rows_.empty()) {
-        row_scratch_[u] = -1;
-        continue;
-      }
-      row = free_rows_.back();
-      free_rows_.pop_back();
-      row_of_[id] = row;
-      owner_of_[row] = id;
-      ++allocated_count_;
-      obs_admissions_->Add(1);
-      float* fresh = pool_.Row(static_cast<uint64_t>(row));
-      for (uint32_t k = 0; k < d; ++k) {
-        fresh[k] = rng_.UniformFloat(-bound, bound);
-      }
-    }
-    if (track) dirty_rows_.Mark(static_cast<uint64_t>(row));
-    row_scratch_[u] = row;
-  }
-
-  const size_t pf = PrefetchDistance();
-  pool->ParallelFor(num_shards, [&](uint32_t shard) {
-    for (size_t u = 0; u < num_unique; ++u) {
-      if (u + pf < num_unique) {
-        const int64_t ahead = row_scratch_[u + pf];
-        if (ahead >= 0 &&
-            ShardOfRow(static_cast<uint64_t>(ahead), num_shards) == shard) {
-          PrefetchWrite(pool_.Row(static_cast<uint64_t>(ahead)));
-        }
-      }
-      const int64_t row = row_scratch_[u];
-      if (row < 0 ||
-          ShardOfRow(static_cast<uint64_t>(row), num_shards) != shard) {
-        continue;
-      }
-      simd::AxpyNeg(pool_.Row(static_cast<uint64_t>(row)),
-                    grad_accum_.data() + u * d, d, lr);
-    }
-  });
 }
 
 void AdaEmbedding::ApplyGradient(uint64_t id, const float* grad, float lr) {

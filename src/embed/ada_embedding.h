@@ -60,10 +60,6 @@ class AdaEmbedding : public EmbeddingStore {
   using EmbeddingStore::ApplyGradientBatch;
   void ApplyGradientBatch(const uint64_t* ids, size_t n, const float* grads,
                           size_t grad_stride, float lr, float clip) override;
-  void ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
-                                 const float* grads, size_t grad_stride,
-                                 float lr, float clip, ThreadPool* pool,
-                                 uint32_t num_shards) override;
   void Tick() override;
   size_t MemoryBytes() const override;
   std::string Name() const override { return "ada"; }

@@ -121,49 +121,6 @@ class BatchDeduper {
     AccumulateNorms(grads, n, dim, dim, /*clip=*/0.0f, accum);
   }
 
-  /// Ownership-filtered AccumulateRows for the parallel backward: zeroes
-  /// and accumulates ONLY the unique rows with owns(u) true, scanning the
-  /// full occurrence stream in order. An owned row therefore receives its
-  /// adds in exactly the serial order, so workers covering a partition of
-  /// the unique indices reproduce the serial accumulation buffer bit for
-  /// bit while writing disjoint `accum` slices (no synchronization).
-  /// `accum` must already be sized num_unique() * dim by the caller.
-  template <typename OwnsFn>
-  void AccumulateRowsSharded(const float* grads, size_t n, uint32_t dim,
-                             size_t stride, float clip, float* accum,
-                             const OwnsFn& owns) const {
-    const float bound = embed_internal::ClipBound(clip);
-    for (size_t u = 0; u < unique_.size(); ++u) {
-      if (owns(static_cast<uint32_t>(u))) {
-        std::memset(accum + u * dim, 0, dim * sizeof(float));
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t u = occ_to_unique_[i];
-      if (!owns(u)) continue;
-      simd::AccumClip(accum + static_cast<size_t>(u) * dim, grads + i * stride,
-                      dim, bound);
-    }
-  }
-
-  /// Ownership-filtered AccumulateNorms, same partition contract as
-  /// AccumulateRowsSharded. `accum` must be sized num_unique().
-  template <typename OwnsFn>
-  void AccumulateNormsSharded(const float* grads, size_t n, uint32_t dim,
-                              size_t stride, float clip, double* accum,
-                              const OwnsFn& owns) const {
-    const float bound = embed_internal::ClipBound(clip);
-    for (size_t u = 0; u < unique_.size(); ++u) {
-      if (owns(static_cast<uint32_t>(u))) accum[u] = 0.0;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t u = occ_to_unique_[i];
-      if (!owns(u)) continue;
-      accum[u] +=
-          embed_internal::ClippedGradNorm(grads + i * stride, dim, bound);
-    }
-  }
-
   /// Replicates each unique id's finished row (already materialized at its
   /// first occurrence in `out`, dim floats per `stride`-float slot) to every
   /// duplicate occurrence. The shared tail of the dedup'd LookupBatch paths.

@@ -37,7 +37,6 @@ class DirtyRowSet {
     stamps_.assign(static_cast<size_t>(num_rows), 0);
     epoch_ = 1;
     dirty_.clear();
-    for (ShardList& shard : shard_dirty_) shard.rows.clear();
   }
 
   /// Stops tracking, releases the stamp array, and zeroes the epoch so a
@@ -51,8 +50,6 @@ class DirtyRowSet {
     stamps_.shrink_to_fit();
     dirty_.clear();
     dirty_.shrink_to_fit();
-    shard_dirty_.clear();
-    shard_dirty_.shrink_to_fit();
   }
 
   /// Records `row` as changed in the current epoch. Caller guards with
@@ -62,39 +59,6 @@ class DirtyRowSet {
     if (stamp == epoch_) return;
     stamp = epoch_;
     dirty_.push_back(row);
-  }
-
-  /// Sizes the per-shard staging lists for the parallel backward. Cheap and
-  /// idempotent at a fixed shard count; the lists persist across batches so
-  /// steady state allocates nothing.
-  void EnableShards(uint32_t num_shards) {
-    if (shard_dirty_.size() < num_shards) shard_dirty_.resize(num_shards);
-  }
-
-  /// Shard-local Mark for the parallel scatter: the worker that OWNS `row`
-  /// (ShardOfRow(row) == shard, enforced by the caller) appends to its own
-  /// cache-line-isolated list. The stamp array stays shared — safe without
-  /// atomics because the deterministic row->shard map gives every stamp
-  /// exactly one writer per batch, and batches are separated by the
-  /// MergeShards join on the trainer thread.
-  void Mark(uint64_t row, uint32_t shard) {
-    uint32_t& stamp = stamps_[static_cast<size_t>(row)];
-    if (stamp == epoch_) return;
-    stamp = epoch_;
-    shard_dirty_[shard].rows.push_back(row);
-  }
-
-  /// Drains the per-shard staging lists into the main dirty list (trainer
-  /// thread, after the workers joined). Rows keep first-touch order within
-  /// a shard and shards append in index order, so the merged list is
-  /// deterministic for a fixed shard count; SaveDelta / Flush / rows() see
-  /// exactly the serial representation afterwards. LoadDelta overwrites
-  /// whole rows, so list ORDER never changes the replayed bytes.
-  void MergeShards() {
-    for (ShardList& shard : shard_dirty_) {
-      dirty_.insert(dirty_.end(), shard.rows.begin(), shard.rows.end());
-      shard.rows.clear();
-    }
   }
 
   /// Rows marked since the last Flush, in first-touch order.
@@ -111,17 +75,10 @@ class DirtyRowSet {
   }
 
  private:
-  /// One staging list per shard, padded to a cache line so workers never
-  /// false-share the vector headers.
-  struct alignas(64) ShardList {
-    std::vector<uint64_t> rows;
-  };
-
   bool enabled_ = false;
   uint32_t epoch_ = 0;
-  std::vector<uint32_t> stamps_;       // per-row last-marked epoch
-  std::vector<uint64_t> dirty_;        // rows marked this epoch
-  std::vector<ShardList> shard_dirty_;  // parallel-backward staging
+  std::vector<uint32_t> stamps_;  // per-row last-marked epoch
+  std::vector<uint64_t> dirty_;   // rows marked this epoch
 };
 
 namespace delta_internal {

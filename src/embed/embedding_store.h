@@ -173,16 +173,8 @@ class EmbeddingStore {
     ApplyGradientBatch(ids, n, grads, dim(), lr, /*clip=*/0.0f);
   }
 
-  /// Sharded backward: semantically IDENTICAL to ApplyGradientBatch — same
-  /// updates, same importance statistics, same dirty marks, bit-for-bit —
-  /// but the SGD scatter may run on `pool` with the physical row space
-  /// partitioned into `num_shards` by ShardOfRow (common/thread_pool.h).
-  /// Each row has exactly one writing shard, so workers share no state and
-  /// the float-op sequence per row matches the serial path exactly; any
-  /// stateful decision logic (sketch insertion, migration, allocation)
-  /// stays serialized inside the store. num_shards <= 1 or pool == nullptr
-  /// must take the serial path verbatim. The default forwards to the serial
-  /// ApplyGradientBatch, so stores opt in per their own data layout.
+  /// Forwards to ApplyGradientBatch; kept only because perfbench/ compiles
+  /// against it.
   virtual void ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
                                          const float* grads,
                                          size_t grad_stride, float lr,

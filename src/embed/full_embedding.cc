@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/prefetch.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace cafe {
 
@@ -100,41 +99,6 @@ void FullEmbedding::ApplyGradientBatch(const uint64_t* ids, size_t n,
     simd::AxpyClipNeg(table + ids[i] * d, grads + i * grad_stride, d, lr,
                       bound);
   }
-}
-
-void FullEmbedding::ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
-                                              const float* grads,
-                                              size_t grad_stride, float lr,
-                                              float clip, ThreadPool* pool,
-                                              uint32_t num_shards) {
-  if (pool == nullptr || num_shards <= 1) {
-    ApplyGradientBatch(ids, n, grads, grad_stride, lr, clip);
-    return;
-  }
-  // Row == feature id here, so sharding the row space by ShardOfRow gives
-  // every id one owning worker; each worker scans the whole occurrence
-  // stream and applies only its rows, preserving per-row stream order —
-  // bit-identical to the serial per-occurrence loop.
-  Obs().RecordBackward(n, n);
-  const uint32_t d = config_.dim;
-  const float bound = embed_internal::ClipBound(clip);
-  const bool track = dirty_.enabled();
-  if (track) dirty_.EnableShards(num_shards);
-  float* table = table_.data();
-  const size_t pf = PrefetchDistance();
-  pool->ParallelFor(num_shards, [&](uint32_t shard) {
-    for (size_t i = 0; i < n; ++i) {
-      if (i + pf < n && ShardOfRow(ids[i + pf], num_shards) == shard) {
-        PrefetchWrite(table + ids[i + pf] * d);
-      }
-      if (ShardOfRow(ids[i], num_shards) != shard) continue;
-      CAFE_DCHECK(ids[i] < config_.total_features);
-      if (track) dirty_.Mark(ids[i], shard);
-      simd::AxpyClipNeg(table + ids[i] * d, grads + i * grad_stride, d, lr,
-                        bound);
-    }
-  });
-  if (track) dirty_.MergeShards();
 }
 
 Status FullEmbedding::EnableDirtyTracking(bool enable) {

@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/prefetch.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace cafe {
 
@@ -149,48 +148,6 @@ void HashEmbedding::ApplyGradientBatch(const uint64_t* ids, size_t n,
     simd::AxpyClipNeg(pool_.Row(row_scratch_[i]), grads + i * grad_stride, d,
                       lr, bound);
   }
-}
-
-void HashEmbedding::ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
-                                              const float* grads,
-                                              size_t grad_stride, float lr,
-                                              float clip, ThreadPool* pool,
-                                              uint32_t num_shards) {
-  if (pool == nullptr || num_shards <= 1) {
-    ApplyGradientBatch(ids, n, grads, grad_stride, lr, clip);
-    return;
-  }
-  // Shards partition BUCKETS (physical rows), so colliding ids land in the
-  // same shard and their updates keep stream order — the serial collision
-  // semantics, just spread over workers. The hash pass fills row_scratch_
-  // first (disjoint index ranges), then every worker scans the stream and
-  // scatters only the buckets it owns.
-  Obs().RecordBackward(n, n);
-  MaybeSampleCollisions(ids, n);
-  const uint32_t d = config_.dim;
-  const float bound = embed_internal::ClipBound(clip);
-  const bool track = dirty_.enabled();
-  if (track) dirty_.EnableShards(num_shards);
-  row_scratch_.resize(n);
-  uint64_t* rows = row_scratch_.data();
-  pool->ParallelFor(num_shards, [&](uint32_t shard) {
-    const size_t begin = n * shard / num_shards;
-    const size_t end = n * (shard + 1) / num_shards;
-    for (size_t i = begin; i < end; ++i) rows[i] = RowOf(ids[i]);
-  });
-  const size_t pf = PrefetchDistance();
-  pool->ParallelFor(num_shards, [&](uint32_t shard) {
-    for (size_t i = 0; i < n; ++i) {
-      if (i + pf < n && ShardOfRow(rows[i + pf], num_shards) == shard) {
-        PrefetchWrite(pool_.Row(rows[i + pf]));
-      }
-      if (ShardOfRow(rows[i], num_shards) != shard) continue;
-      if (track) dirty_.Mark(rows[i], shard);
-      simd::AxpyClipNeg(pool_.Row(rows[i]), grads + i * grad_stride, d, lr,
-                        bound);
-    }
-  });
-  if (track) dirty_.MergeShards();
 }
 
 Status HashEmbedding::EnableDirtyTracking(bool enable) {

@@ -34,10 +34,6 @@ class HashEmbedding : public EmbeddingStore {
   using EmbeddingStore::ApplyGradientBatch;
   void ApplyGradientBatch(const uint64_t* ids, size_t n, const float* grads,
                           size_t grad_stride, float lr, float clip) override;
-  void ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
-                                 const float* grads, size_t grad_stride,
-                                 float lr, float clip, ThreadPool* pool,
-                                 uint32_t num_shards) override;
   size_t MemoryBytes() const override { return pool_.MemoryBytes(); }
   std::string Name() const override { return "hash"; }
   Status SaveState(io::Writer* writer) const override;

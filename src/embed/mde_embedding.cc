@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace cafe {
 namespace {
@@ -181,34 +180,6 @@ void MdeEmbedding::ApplyGradientBatch(const uint64_t* ids, size_t n,
   Obs().RecordBackward(n, num_unique);
   for (size_t u = 0; u < num_unique; ++u) {
     ApplyOne(dedup_.unique_id(u), grad_accum_.data() + u * config_.dim, lr);
-  }
-}
-
-void MdeEmbedding::ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
-                                             const float* grads,
-                                             size_t grad_stride, float lr,
-                                             float clip, ThreadPool* pool,
-                                             uint32_t num_shards) {
-  if (pool == nullptr || num_shards <= 1) {
-    ApplyGradientBatch(ids, n, grads, grad_stride, lr, clip);
-    return;
-  }
-  // Only the per-occurrence gradient accumulation shards cleanly here: every
-  // ApplyOne in a field reads AND writes that field's shared d_f x d
-  // projection matrix, so the backward scatter has no row partition — it
-  // stays serial, in unique order, exactly as the serial path runs it.
-  const uint32_t d = config_.dim;
-  dedup_.Build(ids, n);
-  const size_t num_unique = dedup_.num_unique();
-  Obs().RecordBackward(n, num_unique);
-  grad_accum_.resize(num_unique * d);
-  pool->ParallelFor(num_shards, [&](uint32_t shard) {
-    dedup_.AccumulateRowsSharded(
-        grads, n, d, grad_stride, clip, grad_accum_.data(),
-        [&](size_t u) { return ShardOfRow(u, num_shards) == shard; });
-  });
-  for (size_t u = 0; u < num_unique; ++u) {
-    ApplyOne(dedup_.unique_id(u), grad_accum_.data() + u * d, lr);
   }
 }
 

@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/prefetch.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace cafe {
 
@@ -143,61 +142,6 @@ void OfflineSeparationEmbedding::ApplyGradientBatch(const uint64_t* ids,
     const uint64_t index = index_scratch_[u];
     if (track) MarkRow(index);
     simd::AxpyNeg(RowAt(index), grad_accum_.data() + u * d, d, lr);
-  }
-}
-
-void OfflineSeparationEmbedding::ApplyGradientBatchSharded(
-    const uint64_t* ids, size_t n, const float* grads, size_t grad_stride,
-    float lr, float clip, ThreadPool* pool, uint32_t num_shards) {
-  if (pool == nullptr || num_shards <= 1) {
-    ApplyGradientBatch(ids, n, grads, grad_stride, lr, clip);
-    return;
-  }
-  // The hot/shared assignment is frozen, so everything parallelizes: phase
-  // A accumulates gradients (workers partitioned by unique index) and
-  // resolves each unique's combined-space row (read-only probes, chunked);
-  // phase B scatters with workers partitioned by resolved row — each row
-  // is updated by its one owner with the same accumulated gradient as the
-  // serial path.
-  const uint32_t d = config_.dim;
-  const bool track = dirty_hot_.enabled();
-  if (track) {
-    dirty_hot_.EnableShards(num_shards);
-    dirty_shared_.EnableShards(num_shards);
-  }
-  dedup_.Build(ids, n);
-  const size_t num_unique = dedup_.num_unique();
-  Obs().RecordBackward(n, num_unique);
-  grad_accum_.resize(num_unique * d);
-  index_scratch_.resize(num_unique);
-  uint64_t* indices = index_scratch_.data();
-  pool->ParallelFor(num_shards, [&](uint32_t shard) {
-    const size_t begin = num_unique * shard / num_shards;
-    const size_t end = num_unique * (shard + 1) / num_shards;
-    for (size_t u = begin; u < end; ++u) {
-      indices[u] = RowIndexOf(dedup_.unique_id(u));
-    }
-    dedup_.AccumulateRowsSharded(
-        grads, n, d, grad_stride, clip, grad_accum_.data(),
-        [num_shards, shard](uint32_t u) {
-          return ShardOfRow(u, num_shards) == shard;
-        });
-  });
-  const size_t pf = PrefetchDistance();
-  pool->ParallelFor(num_shards, [&](uint32_t shard) {
-    for (size_t u = 0; u < num_unique; ++u) {
-      if (u + pf < num_unique &&
-          ShardOfRow(indices[u + pf], num_shards) == shard) {
-        PrefetchWrite(RowAt(indices[u + pf]));
-      }
-      if (ShardOfRow(indices[u], num_shards) != shard) continue;
-      if (track) MarkRow(indices[u], shard);
-      simd::AxpyNeg(RowAt(indices[u]), grad_accum_.data() + u * d, d, lr);
-    }
-  });
-  if (track) {
-    dirty_hot_.MergeShards();
-    dirty_shared_.MergeShards();
   }
 }
 

@@ -44,10 +44,6 @@ class OfflineSeparationEmbedding : public EmbeddingStore {
   using EmbeddingStore::ApplyGradientBatch;
   void ApplyGradientBatch(const uint64_t* ids, size_t n, const float* grads,
                           size_t grad_stride, float lr, float clip) override;
-  void ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
-                                 const float* grads, size_t grad_stride,
-                                 float lr, float clip, ThreadPool* pool,
-                                 uint32_t num_shards) override;
   size_t MemoryBytes() const override;
   std::string Name() const override { return "offline"; }
   Status SaveState(io::Writer* writer) const override;
@@ -87,15 +83,6 @@ class OfflineSeparationEmbedding : public EmbeddingStore {
       dirty_hot_.Mark(index);
     } else {
       dirty_shared_.Mark(index - hot_rows_);
-    }
-  }
-  /// Shard-local MarkRow for the parallel scatter (the worker owning the
-  /// combined-space row stages into its own list).
-  void MarkRow(uint64_t index, uint32_t shard) {
-    if (index < hot_rows_) {
-      dirty_hot_.Mark(index, shard);
-    } else {
-      dirty_shared_.Mark(index - hot_rows_, shard);
     }
   }
 

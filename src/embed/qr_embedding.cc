@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/prefetch.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace cafe {
 
@@ -207,61 +206,6 @@ void QrEmbedding::ApplyGradientBatch(const uint64_t* ids, size_t n,
         q[k] -= lr * gk * r_old;
       }
     }
-  }
-}
-
-void QrEmbedding::ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
-                                            const float* grads,
-                                            size_t grad_stride, float lr,
-                                            float clip, ThreadPool* pool,
-                                            uint32_t num_shards) {
-  if (pool == nullptr || num_shards <= 1 || combine_ != Combine::kAdd) {
-    // Multiplicative combine couples the two component rows through r_old,
-    // so an id's update is one atom that can live in only one shard while
-    // BOTH its rows can be shared with other ids in other shards — no row
-    // partition exists. kMultiply stays serial (unreachable through the
-    // factory, which always builds kAdd).
-    ApplyGradientBatch(ids, n, grads, grad_stride, lr, clip);
-    return;
-  }
-  // Additive combine updates the remainder and quotient rows independently
-  // (each only reads its own gradient element), so the two component tables
-  // form ONE physical row space: remainder rows at [0, m_), quotient rows
-  // at [m_, m_ + q_rows_). A worker scans the stream and applies whichever
-  // HALF of each id's update it owns — per-row stream order is preserved
-  // and every row still has a single writer.
-  Obs().RecordBackward(n, n);
-  const uint32_t d = config_.dim;
-  const float bound = embed_internal::ClipBound(clip);
-  const bool track = dirty_remainder_.enabled();
-  if (track) {
-    dirty_remainder_.EnableShards(num_shards);
-    dirty_quotient_.EnableShards(num_shards);
-  }
-  float* rem = remainder_table_.data();
-  float* quo = quotient_table_.data();
-  pool->ParallelFor(num_shards, [&](uint32_t shard) {
-    for (size_t i = 0; i < n; ++i) {
-      CAFE_DCHECK(ids[i] < config_.total_features);
-      const uint64_t r_row = ids[i] % m_;
-      const uint64_t q_row = ids[i] / m_;
-      const bool own_r = ShardOfRow(r_row, num_shards) == shard;
-      const bool own_q = ShardOfRow(m_ + q_row, num_shards) == shard;
-      if (!own_r && !own_q) continue;
-      const float* g = grads + i * grad_stride;
-      if (own_r) {
-        if (track) dirty_remainder_.Mark(r_row, shard);
-        simd::AxpyClipNeg(rem + r_row * d, g, d, lr, bound);
-      }
-      if (own_q) {
-        if (track) dirty_quotient_.Mark(q_row, shard);
-        simd::AxpyClipNeg(quo + q_row * d, g, d, lr, bound);
-      }
-    }
-  });
-  if (track) {
-    dirty_remainder_.MergeShards();
-    dirty_quotient_.MergeShards();
   }
 }
 

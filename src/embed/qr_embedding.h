@@ -42,10 +42,6 @@ class QrEmbedding : public EmbeddingStore {
   using EmbeddingStore::ApplyGradientBatch;
   void ApplyGradientBatch(const uint64_t* ids, size_t n, const float* grads,
                           size_t grad_stride, float lr, float clip) override;
-  void ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
-                                 const float* grads, size_t grad_stride,
-                                 float lr, float clip, ThreadPool* pool,
-                                 uint32_t num_shards) override;
   Status SaveState(io::Writer* writer) const override;
   Status LoadState(io::Reader* reader) override;
   bool SupportsIncrementalSnapshots() const override { return true; }

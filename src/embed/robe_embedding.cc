@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/prefetch.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace cafe {
 
@@ -138,52 +137,6 @@ void RobeEmbedding::ApplyGradientBatch(const uint64_t* ids, size_t n,
                         bound);
     }
   }
-}
-
-void RobeEmbedding::ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
-                                              const float* grads,
-                                              size_t grad_stride, float lr,
-                                              float clip, ThreadPool* pool,
-                                              uint32_t num_shards) {
-  if (pool == nullptr || num_shards <= 1) {
-    ApplyGradientBatch(ids, n, grads, grad_stride, lr, clip);
-    return;
-  }
-  // Shards partition the aligned d-float BLOCKS of the flat array; windows
-  // split at block boundaries so every parameter has exactly one writing
-  // shard and keeps the serial per-element update order. The hash pass
-  // fills base_scratch_ first (disjoint index ranges), then every worker
-  // scans the full stream applying only the pieces it owns.
-  Obs().RecordBackward(n, n);
-  const uint32_t d = config_.dim;
-  const float bound = embed_internal::ClipBound(clip);
-  const bool track = dirty_.enabled();
-  if (track) dirty_.EnableShards(num_shards);
-  float* flat = flat_.data();
-  base_scratch_.resize(n);
-  uint64_t* bases = base_scratch_.data();
-  pool->ParallelFor(num_shards, [&](uint32_t shard) {
-    const size_t begin = n * shard / num_shards;
-    const size_t end = n * (shard + 1) / num_shards;
-    for (size_t i = begin; i < end; ++i) bases[i] = BaseOf(ids[i]);
-  });
-  const size_t pf = PrefetchDistance();
-  pool->ParallelFor(num_shards, [&](uint32_t shard) {
-    for (size_t i = 0; i < n; ++i) {
-      if (i + pf < n &&
-          ShardOfRow(bases[i + pf] / d, num_shards) == shard) {
-        PrefetchWrite(flat + bases[i + pf]);
-      }
-      const float* g = grads + i * grad_stride;
-      ForEachRowPiece(bases[i], [&](uint64_t row, uint64_t slot,
-                                    uint32_t g_off, uint32_t len) {
-        if (ShardOfRow(row, num_shards) != shard) return;
-        if (track) dirty_.Mark(row, shard);
-        simd::AxpyClipNeg(flat + slot, g + g_off, len, lr, bound);
-      });
-    }
-  });
-  if (track) dirty_.MergeShards();
 }
 
 Status RobeEmbedding::SaveState(io::Writer* writer) const {

@@ -20,14 +20,11 @@ namespace cafe {
 /// reads — cache-friendlier than the hashing trick's row gather, which is
 /// why this store anchors the SIMD gather/scatter pass.
 ///
-/// Physical-row bookkeeping (dirty tracking, shard ownership) works on
-/// aligned d-float blocks of the flat array: m is rounded down to a
-/// multiple of d, so any window touches at most two adjacent blocks (the
-/// second possibly wrapping to block 0). Updates are per-occurrence in
-/// stream order like full/hash/qr — bit-identical to the scalar loop —
-/// and the sharded backward partitions blocks by ShardOfRow, splitting
-/// each window at block boundaries so every parameter keeps exactly one
-/// writing shard.
+/// Physical-row bookkeeping (dirty tracking) works on aligned d-float
+/// blocks of the flat array: m is rounded down to a multiple of d, so any
+/// window touches at most two adjacent blocks (the second possibly
+/// wrapping to block 0). Updates are per-occurrence in stream order like
+/// full/hash/qr — bit-identical to the scalar loop.
 class RobeEmbedding : public EmbeddingStore {
  public:
   static StatusOr<std::unique_ptr<RobeEmbedding>> Create(
@@ -45,10 +42,6 @@ class RobeEmbedding : public EmbeddingStore {
   using EmbeddingStore::ApplyGradientBatch;
   void ApplyGradientBatch(const uint64_t* ids, size_t n, const float* grads,
                           size_t grad_stride, float lr, float clip) override;
-  void ApplyGradientBatchSharded(const uint64_t* ids, size_t n,
-                                 const float* grads, size_t grad_stride,
-                                 float lr, float clip, ThreadPool* pool,
-                                 uint32_t num_shards) override;
   size_t MemoryBytes() const override { return flat_.size() * sizeof(float); }
   std::string Name() const override { return "robe"; }
   Status SaveState(io::Writer* writer) const override;
@@ -61,8 +54,7 @@ class RobeEmbedding : public EmbeddingStore {
 
   /// Flat-array size in floats (m, a multiple of dim).
   uint64_t num_slots() const { return slots_; }
-  /// Aligned d-float blocks — the physical row space for dirty tracking
-  /// and shard ownership.
+  /// Aligned d-float blocks — the physical row space for dirty tracking.
   uint64_t num_rows() const { return num_rows_; }
 
  private:
@@ -70,26 +62,6 @@ class RobeEmbedding : public EmbeddingStore {
 
   /// Window start for `id`, uniform over [0, slots_).
   uint64_t BaseOf(uint64_t id) const { return hash_.Bounded(id, slots_); }
-
-  /// Invokes fn(row, slot, grad_offset, len) for each block-aligned piece
-  /// of the window at `base`, in window order. A window of d floats over
-  /// d-float blocks yields at most two pieces; only the second can wrap
-  /// (to block 0), so `slot` pieces are always contiguous in memory.
-  template <typename Fn>
-  void ForEachRowPiece(uint64_t base, Fn&& fn) const {
-    const uint32_t d = config_.dim;
-    uint64_t off = base;
-    uint32_t done = 0;
-    while (done < d) {
-      if (off >= slots_) off -= slots_;
-      const uint64_t row = off / d;
-      const uint32_t len = static_cast<uint32_t>(
-          std::min<uint64_t>(d - done, (row + 1) * d - off));
-      fn(row, off, done, len);
-      off += len;
-      done += len;
-    }
-  }
 
   /// Marks the (at most two) blocks the window at `base` touches.
   void MarkWindow(uint64_t base) {

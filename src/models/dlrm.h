@@ -31,9 +31,6 @@ class DlrmModel : public RecModel {
   size_t DenseParameters() const override;
   void CollectDenseParams(std::vector<Param>* out) override;
   Optimizer* optimizer() override { return optimizer_.get(); }
-  void SetBackwardParallelism(ThreadPool* pool, uint32_t shards) override {
-    emb_layer_.SetBackwardParallelism(pool, shards);
-  }
 
  private:
   DlrmModel(const ModelConfig& config, EmbeddingStore* store);

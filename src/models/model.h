@@ -73,11 +73,7 @@ class RecModel {
   /// May be null for models that do no dense training.
   virtual Optimizer* optimizer() { return nullptr; }
 
-  /// Routes the embedding backward through `pool` with `shards` row
-  /// partitions (bit-identical to serial; see ThreadPool). Pass nullptr /
-  /// <= 1 to restore the serial scatter — callers that install a pool MUST
-  /// do so before the pool is destroyed. Default: no-op for models without
-  /// a batched embedding layer.
+  /// No-op; kept only because perfbench/ compiles against it.
   virtual void SetBackwardParallelism(ThreadPool* pool, uint32_t shards) {
     (void)pool;
     (void)shards;

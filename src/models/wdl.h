@@ -28,9 +28,6 @@ class WdlModel : public RecModel {
   size_t DenseParameters() const override;
   void CollectDenseParams(std::vector<Param>* out) override;
   Optimizer* optimizer() override { return optimizer_.get(); }
-  void SetBackwardParallelism(ThreadPool* pool, uint32_t shards) override {
-    emb_layer_.SetBackwardParallelism(pool, shards);
-  }
 
  private:
   WdlModel(const ModelConfig& config, EmbeddingStore* store);

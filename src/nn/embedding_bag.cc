@@ -1,44 +1,10 @@
 #include "nn/embedding_bag.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace cafe {
-namespace {
-
-// Sampled shard-imbalance probe for the parallel backward: every
-// kImbalanceSampleEvery-th Backward call, histogram one batch's ids by
-// ShardOfRow (summed over fields — the same partition the scatter uses)
-// and publish max_shard_ids / mean_shard_ids. 1.0 = perfectly balanced;
-// the gauge is a proxy for how much of the pool fan-out the slowest shard
-// wastes. Sampling keeps the probe off the steady-state hot path.
-constexpr uint64_t kImbalanceSampleEvery = 64;
-
-void SampleShardImbalance(const FieldMajorIds& ids, size_t num_fields,
-                          size_t n, uint32_t shards, obs::Gauge* gauge) {
-  std::vector<uint64_t> per_shard(shards, 0);
-  for (size_t f = 0; f < num_fields; ++f) {
-    const uint64_t* field_ids = ids.field(f);
-    for (size_t i = 0; i < n; ++i) {
-      ++per_shard[ShardOfRow(field_ids[i], shards)];
-    }
-  }
-  const uint64_t total = static_cast<uint64_t>(num_fields) * n;
-  if (total == 0) return;
-  const uint64_t max_ids =
-      *std::max_element(per_shard.begin(), per_shard.end());
-  const double mean_ids =
-      static_cast<double>(total) / static_cast<double>(shards);
-  gauge->Set(static_cast<double>(max_ids) / mean_ids);
-}
-
-}  // namespace
-
 EmbeddingLayerGroup::EmbeddingLayerGroup(EmbeddingStore* store,
                                          size_t num_fields)
     : store_(store), num_fields_(num_fields) {
@@ -78,26 +44,10 @@ void EmbeddingLayerGroup::Backward(const Batch& batch, const float* grad,
   obs::ScopedTimer backward_timer("embedding.backward", backward_us_hist);
   // Strided scatter: field f's gradient column block is consumed in place
   // at grad + b*stride + f*d by the store itself, clamped as it reads —
-  // the backward mirror of Forward's strided gather. With parallelism
-  // configured, each field's scatter fans out over the pool's row shards;
-  // fields stay sequential so stores with cross-field state (cafe's sketch,
-  // ada's scores) see the same field order as the serial path.
-  if (pool_ != nullptr && shards_ > 1) {
-    static obs::Gauge* const imbalance_gauge =
-        registry.GetGauge("train.shard_imbalance");
-    if (++backward_calls_ % kImbalanceSampleEvery == 1) {
-      SampleShardImbalance(ids_, num_fields_, n, shards_, imbalance_gauge);
-    }
-    for (size_t f = 0; f < num_fields_; ++f) {
-      store_->ApplyGradientBatchSharded(ids_.field(f), n, grad + f * d,
-                                        stride, lr, kGradClip, pool_,
-                                        shards_);
-    }
-  } else {
-    for (size_t f = 0; f < num_fields_; ++f) {
-      store_->ApplyGradientBatch(ids_.field(f), n, grad + f * d, stride, lr,
-                                 kGradClip);
-    }
+  // the backward mirror of Forward's strided gather.
+  for (size_t f = 0; f < num_fields_; ++f) {
+    store_->ApplyGradientBatch(ids_.field(f), n, grad + f * d, stride, lr,
+                               kGradClip);
   }
 }
 

@@ -48,15 +48,6 @@ class EmbeddingLayerGroup {
   void Backward(const Batch& batch, const float* grad, size_t stride,
                 float lr, bool reuse_staged_ids = false);
 
-  /// Routes Backward through the store's sharded scatter on `pool` with
-  /// `shards` row partitions (bit-identical to the serial path). Pass
-  /// nullptr / <= 1 to restore the serial scatter; `pool` must outlive the
-  /// parallel phase and the same single thread must drive every Backward.
-  void SetBackwardParallelism(ThreadPool* pool, uint32_t shards) {
-    pool_ = pool;
-    shards_ = shards;
-  }
-
   EmbeddingStore* store() const { return store_; }
 
   /// Elementwise gradient clip applied by Backward. Keeps heavily collided
@@ -68,12 +59,6 @@ class EmbeddingLayerGroup {
  private:
   EmbeddingStore* store_;
   size_t num_fields_;
-  ThreadPool* pool_ = nullptr;
-  uint32_t shards_ = 1;
-  // Backward calls since construction; drives the sampled shard-imbalance
-  // probe (every 64th parallel Backward histograms one batch's ids by
-  // ShardOfRow and publishes max/mean to train.shard_imbalance).
-  uint64_t backward_calls_ = 0;
 
   // Field-major id staging, reused across batches (BuildFrom only grows
   // the backing buffer; steady state re-fills in place, no allocation).

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/exposition.h"
 #include "obs/json_writer.h"
@@ -248,16 +247,8 @@ StatusOr<OnlinePipelineResult> RunOnlinePipeline(
   });
 
   // Train on this thread; the only rollout cost it pays is the state copy
-  // at the boundaries where a cut is pending. With backward_threads > 1 the
-  // embedding scatter fans out over the pool but every step still ends on
-  // this thread before AtStepBoundary, so cuts see quiesced stores exactly
-  // as in the serial run.
-  std::unique_ptr<ThreadPool> backward_pool;
-  if (options.backward_threads > 1) {
-    backward_pool = std::make_unique<ThreadPool>(options.backward_threads);
-    (*live_model)->SetBackwardParallelism(backward_pool.get(),
-                                          options.backward_threads);
-  }
+  // at the boundaries where a cut is pending.
+  //
   // Same train.* registry surface as TrainOnePass: counters per step,
   // loss EMA + windowed steps/s in gauges the live scrape reads mid-run.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -309,9 +300,6 @@ StatusOr<OnlinePipelineResult> RunOnlinePipeline(
       }
       manager.AtStepBoundary(step);
     }
-  }
-  if (backward_pool != nullptr) {
-    (*live_model)->SetBackwardParallelism(nullptr, 1);
   }
   result.train_seconds = train_timer.ElapsedSeconds();
   // Order matters: the done flag must be visible BEFORE FinishTraining

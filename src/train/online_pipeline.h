@@ -19,11 +19,6 @@ struct OnlinePipelineOptions {
   /// Trainer: chronological passes over the training split.
   size_t batch_size = 128;
   size_t passes = 1;
-  /// Threads (and row shards) for the embedding backward scatter of the
-  /// live trainer, bit-identical to serial (common/thread_pool.h). The
-  /// snapshot cuts stay O(dirty): per-shard dirty stamping merges back into
-  /// the store's ordinary dirty lists before any SaveDelta.
-  uint32_t backward_threads = 1;
   /// Trainer steps between snapshot cuts (the rollout cadence).
   uint64_t snapshot_interval = 50;
   /// Incremental cuts: after generation 1's full base copy, each cut's

@@ -1,10 +1,8 @@
 #include "train/trainer.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -84,16 +82,6 @@ TrainResult TrainOnePass(RecModel* model, const SyntheticCtrDataset& data,
     }
   }
 
-  // Parallel backward: the pool lives for the pass and the model routes
-  // every embedding scatter through it. Reset before the pool dies so the
-  // model never holds a dangling pointer past this function.
-  std::unique_ptr<ThreadPool> backward_pool;
-  if (options.backward_threads > 1) {
-    backward_pool = std::make_unique<ThreadPool>(options.backward_threads);
-    model->SetBackwardParallelism(backward_pool.get(),
-                                  options.backward_threads);
-  }
-
   // Trainer metrics (train.*). Counters advance per step; the loss EMA and
   // the windowed steps/s land in gauges a live scrape can read mid-pass.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -160,9 +148,6 @@ TrainResult TrainOnePass(RecModel* model, const SyntheticCtrDataset& data,
       result.curve.push_back(point);
       eval_seconds += eval_timer.ElapsedSeconds();
     }
-  }
-  if (backward_pool != nullptr) {
-    model->SetBackwardParallelism(nullptr, 1);
   }
   result.train_seconds = timer.ElapsedSeconds() - eval_seconds;
   result.train_throughput =

@@ -24,10 +24,6 @@ struct TrainOptions {
   /// insert per (sample, field) — noise next to the forward/backward pass.
   bool track_field_cardinality = true;
   uint32_t cardinality_precision = 12;
-  /// Threads (and row shards) for the embedding backward scatter. 1 = the
-  /// serial path; > 1 runs each field's gradient scatter across a
-  /// persistent worker pool, bit-identical to serial (common/thread_pool.h).
-  uint32_t backward_threads = 1;
 };
 
 struct MetricPoint {

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "common/zipf.h"
 #include "core/cafe_embedding.h"
 #include "embed/batch_dedup.h"
@@ -310,29 +309,39 @@ std::string SaveStateBytes(EmbeddingStore* store) {
   return writer.buffer();
 }
 
-/// One duplicate-heavy two-epoch run through ApplyGradientBatchSharded at
-/// `shards` partitions (nullptr pool / 1 shard = the serial fallback),
-/// with dirty tracking switched on mid-run and incremental cuts replayed
-/// into `replica` — so a shard-staged Mark that never merged, or a row a
-/// worker updated without marking, shows up as a stale replica row.
-void RunShardedTraining(EmbeddingStore* store, EmbeddingStore* replica,
-                        ThreadPool* pool, uint32_t shards,
-                        const std::vector<std::vector<uint64_t>>& batches,
-                        const std::vector<std::vector<float>>& grads,
-                        size_t grad_stride) {
+// Base + deltas = SaveState under the strided, clipped, duplicate-heavy
+// backward: two epochs with dirty tracking switched on mid-run and an
+// incremental cut replayed into a replica every 7 steps. For cafe the
+// compared bytes include the sketch slots, migration counters, thresholds,
+// free list and victim queue, so a row or bucket the backward updated
+// without marking shows up as a stale replica.
+TEST_P(BatchedParityTest, StridedBackwardIncrementalReplicaMatchesSaveState) {
+  const std::string name = GetParam().name;
+  constexpr size_t kStride = kDim + 5;
   constexpr float kLr = 0.05f;
   constexpr float kClip = 1.0f;
-  constexpr size_t kEpochs = 2;
-  const size_t track_after = kNumBatches / 2;
-  size_t step = 0;
-  bool tracking = false;
+  const auto batches = MakeDuplicateBatches(/*seed=*/8642);
+  Rng rng(97531);
+  std::vector<std::vector<float>> grads(kNumBatches);
+  for (auto& g : grads) {
+    g.resize(kBatch * kStride);
+    for (float& v : g) v = rng.UniformFloat(-2.0f, 2.0f);
+  }
+
+  auto store = MakeParityStore(name, GetParam().cr);
+  auto replica = MakeParityStore(name, GetParam().cr);
+  ASSERT_NE(store, nullptr);
+  ASSERT_NE(replica, nullptr);
   auto cut_delta = [&]() {
     io::Writer delta;
     ASSERT_TRUE(store->SaveDelta(&delta).ok());
     io::Reader reader(delta.buffer());
     ASSERT_TRUE(replica->LoadDelta(&reader).ok());
   };
-  for (size_t epoch = 0; epoch < kEpochs; ++epoch) {
+  const size_t track_after = kNumBatches / 2;
+  size_t step = 0;
+  bool tracking = false;
+  for (size_t epoch = 0; epoch < 2; ++epoch) {
     for (size_t k = 0; k < kNumBatches; ++k) {
       if (step == track_after) {
         io::Writer base;
@@ -342,89 +351,16 @@ void RunShardedTraining(EmbeddingStore* store, EmbeddingStore* replica,
         ASSERT_TRUE(store->EnableDirtyTracking().ok());
         tracking = true;
       }
-      store->ApplyGradientBatchSharded(batches[k].data(), kBatch,
-                                       grads[k].data(), grad_stride, kLr,
-                                       kClip, pool, shards);
+      store->ApplyGradientBatch(batches[k].data(), kBatch, grads[k].data(),
+                                kStride, kLr, kClip);
       store->Tick();
       ++step;
       if (tracking && step % 7 == 0) cut_delta();
     }
   }
-  if (tracking) cut_delta();
-}
-
-// The tentpole contract: the sharded multi-threaded backward is
-// bit-identical to single-thread for EVERY store — compared on full
-// SaveState bytes, which for cafe includes the sketch slots, migration
-// counters, thresholds, free list and victim queue, not just the tables.
-// S = 1 is compared against the pre-existing serial ApplyGradientBatch to
-// pin the fallback, and the incremental-cut replica must converge to the
-// same bytes at every S (per-shard dirty staging merges completely).
-TEST_P(BatchedParityTest, ShardedBackwardMatchesSerial) {
-  const std::string name = GetParam().name;
-  constexpr size_t kStride = kDim + 5;
-  const auto batches = MakeDuplicateBatches(/*seed=*/8642);
-  Rng rng(97531);
-  std::vector<std::vector<float>> grads(kNumBatches);
-  for (auto& g : grads) {
-    g.resize(kBatch * kStride);
-    for (float& v : g) v = rng.UniformFloat(-2.0f, 2.0f);
-  }
-
-  // Reference: the serial strided path through the pre-existing entry.
-  auto reference = MakeParityStore(name, GetParam().cr);
-  auto reference_replica = MakeParityStore(name, GetParam().cr);
-  ASSERT_NE(reference, nullptr);
-  ASSERT_NE(reference_replica, nullptr);
-  {
-    const size_t track_after = kNumBatches / 2;
-    size_t step = 0;
-    bool tracking = false;
-    for (size_t epoch = 0; epoch < 2; ++epoch) {
-      for (size_t k = 0; k < kNumBatches; ++k) {
-        if (step == track_after) {
-          io::Writer base;
-          ASSERT_TRUE(reference->SaveState(&base).ok());
-          io::Reader reader(base.buffer());
-          ASSERT_TRUE(reference_replica->LoadState(&reader).ok());
-          ASSERT_TRUE(reference->EnableDirtyTracking().ok());
-          tracking = true;
-        }
-        reference->ApplyGradientBatch(batches[k].data(), kBatch,
-                                      grads[k].data(), kStride, 0.05f, 1.0f);
-        reference->Tick();
-        ++step;
-        if (tracking && step % 7 == 0) {
-          io::Writer delta;
-          ASSERT_TRUE(reference->SaveDelta(&delta).ok());
-          io::Reader reader(delta.buffer());
-          ASSERT_TRUE(reference_replica->LoadDelta(&reader).ok());
-        }
-      }
-    }
-    io::Writer delta;
-    ASSERT_TRUE(reference->SaveDelta(&delta).ok());
-    io::Reader reader(delta.buffer());
-    ASSERT_TRUE(reference_replica->LoadDelta(&reader).ok());
-  }
-  const std::string want = SaveStateBytes(reference.get());
-  EXPECT_EQ(SaveStateBytes(reference_replica.get()), want)
-      << name << ": serial incremental-cut replica diverged";
-
-  ThreadPool pool(4);
-  for (const uint32_t shards : {1u, 2u, 4u, 8u}) {
-    auto store = MakeParityStore(name, GetParam().cr);
-    auto replica = MakeParityStore(name, GetParam().cr);
-    ASSERT_NE(store, nullptr);
-    ASSERT_NE(replica, nullptr);
-    RunShardedTraining(store.get(), replica.get(),
-                       shards > 1 ? &pool : nullptr, shards, batches, grads,
-                       kStride);
-    EXPECT_EQ(SaveStateBytes(store.get()), want)
-        << name << ": sharded state diverged at S = " << shards;
-    EXPECT_EQ(SaveStateBytes(replica.get()), want)
-        << name << ": incremental-cut replica diverged at S = " << shards;
-  }
+  cut_delta();
+  EXPECT_EQ(SaveStateBytes(replica.get()), SaveStateBytes(store.get()))
+      << name << ": incremental-cut replica diverged";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStores, BatchedParityTest,

@@ -1634,6 +1634,7 @@ TEST(OnlinePipelineTest, IncrementalFinalGenerationMatchesUninterrupted) {
                                   *data, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_NE(result->final_snapshot, nullptr);
+  EXPECT_GT(result->requests_ok, 0u);  // cuts raced live serving traffic
   EXPECT_GE(result->snapshot_stats.cuts, 2u);
   EXPECT_EQ(result->snapshot_stats.delta_cuts,
             result->snapshot_stats.cuts - 1);  // everything after the base
@@ -1652,55 +1653,6 @@ TEST(OnlinePipelineTest, IncrementalFinalGenerationMatchesUninterrupted) {
                            "incremental online pipeline final generation");
   ExpectDenseParamsMatchSnapshot(ref_model->get(), *result->final_snapshot,
                                  "incremental pipeline final dense weights");
-}
-
-// Train-while-cut with a parallel sharded backward: the online pipeline runs
-// incremental delta cuts while the embedding scatter fans out across worker
-// threads, and the final generation must STILL be bit-identical to a serial
-// uninterrupted offline run. Exercised under TSan in CI — the per-shard
-// dirty-set staging, deferred cafe SGD ops, and the step-boundary quiesce
-// before each cut all get raced against live serving traffic here.
-TEST(OnlinePipelineTest, ParallelBackwardIncrementalMatchesSerialTraining) {
-  auto data = MakeRolloutDataset();
-  StoreFactoryContext context = MakeContext(20.0);
-  context.embedding.total_features = data->layout().total_features();
-  context.layout = data->layout();
-  const ModelConfig model_config = MakeRolloutModelConfig(*data);
-
-  OnlinePipelineOptions options;
-  options.batch_size = 128;
-  options.passes = 1;
-  options.snapshot_interval = 8;
-  options.incremental_snapshots = true;
-  options.backward_threads = 3;  // odd shard count: rows split unevenly
-  options.server.num_workers = 2;
-  options.server.max_batch = 64;
-  options.server.max_wait_us = 100;
-  options.num_clients = 2;
-  options.request_size = 12;
-  auto result = RunOnlinePipeline("cafe", context, "dlrm", model_config,
-                                  *data, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_NE(result->final_snapshot, nullptr);
-  EXPECT_GE(result->snapshot_stats.cuts, 2u);
-  EXPECT_EQ(result->snapshot_stats.delta_cuts,
-            result->snapshot_stats.cuts - 1);
-
-  // Serial reference: single-threaded backward, no serving, no snapshots.
-  const size_t train_end = data->train_size();
-  auto ref_store = MakeStore("cafe", context);
-  ASSERT_TRUE(ref_store.ok());
-  auto ref_model = MakeModel("dlrm", model_config, ref_store->get());
-  ASSERT_TRUE(ref_model.ok());
-  for (size_t start = 0; start < train_end; start += 128) {
-    (*ref_model)->TrainStep(
-        data->GetBatch(start, std::min<size_t>(128, train_end - start)));
-  }
-  auto ref_frozen = FrozenStore::Wrap(ref_store->get());
-  ExpectStoresBitIdentical(*result->final_snapshot->store, *ref_frozen,
-                           "parallel-backward pipeline final generation");
-  ExpectDenseParamsMatchSnapshot(ref_model->get(), *result->final_snapshot,
-                                 "parallel-backward pipeline dense weights");
 }
 
 // Under a tiny admission cap and heavy client flooding, the pipeline sheds

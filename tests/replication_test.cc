@@ -632,6 +632,69 @@ TEST(TransportStatusTest, BoundedPipeBlocksOnCapacityAndUnblocksOnClose) {
   blocked.join();
 }
 
+// The lane's read offset compacts only past half the buffer, so a capacity
+// check that counted the already-read prefix would block a write that fits
+// in the unread bytes. 600 written, 200 read (below the compaction point):
+// 400 unread + 600 fits in 1024 and must not wait for the reader.
+TEST(TransportStatusTest, BoundedPipeCapacityCountsOnlyUnreadBytes) {
+  TransportPair pair = MakePipeTransport({}, 1024);
+  const std::string chunk(600, 'y');
+  ASSERT_TRUE(pair.source->Write(chunk.data(), chunk.size()).ok());
+  char buf[200];
+  auto n = pair.replica->Read(buf, sizeof(buf));
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  ASSERT_EQ(*n, sizeof(buf));
+
+  std::atomic<bool> second_done{false};
+  std::thread writer([&] {
+    EXPECT_TRUE(pair.source->Write(chunk.data(), chunk.size()).ok());
+    second_done.store(true, std::memory_order_release);
+  });
+  for (int i = 0; i < 1000 && !second_done.load(std::memory_order_acquire);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(second_done.load(std::memory_order_acquire))
+      << "write blocked although it fits in the unread bytes";
+  pair.replica->Close();  // unblocks the writer if the check above failed
+  writer.join();
+}
+
+// A multi-MB stream through an unbounded pipe, with random-size writes and
+// 4 KB reads interleaved so reads straddle the lane's compaction point
+// many times: every read returns min(4 KB, unread) bytes and the stream
+// comes out byte-identical.
+TEST(TransportStatusTest, PipeStreamsMultiMegabyteInterleavedReadsIntact) {
+  TransportPair pair = MakePipeTransport();
+  constexpr size_t kTotal = 6u << 20;
+  constexpr size_t kReadSize = 4096;
+  Rng rng(4242);
+  std::string sent(kTotal, '\0');
+  for (char& c : sent) c = static_cast<char>(rng.Next());
+  std::string received;
+  received.reserve(kTotal);
+  char buf[kReadSize];
+  size_t written = 0;
+  while (received.size() < kTotal) {
+    if (written < kTotal) {
+      const size_t size =
+          std::min<size_t>(kTotal - written, 1 + rng.Next() % 12000);
+      ASSERT_TRUE(pair.source->Write(sent.data() + written, size).ok());
+      written += size;
+    }
+    // 0..3 reads per write keeps the backlog wandering up and down; once
+    // everything is written, drain.
+    const uint64_t reads = written < kTotal ? rng.Next() % 4 : 1;
+    for (uint64_t r = 0; r < reads && received.size() < written; ++r) {
+      auto n = pair.replica->Read(buf, sizeof(buf));
+      ASSERT_TRUE(n.ok()) << n.status().ToString();
+      ASSERT_EQ(*n, std::min(kReadSize, written - received.size()));
+      received.append(buf, *n);
+    }
+  }
+  EXPECT_TRUE(received == sent) << "pipe stream corrupted";
+}
+
 TEST(TransportStatusTest, TcpAcceptTimesOutAndRefusedConnectIsUnavailable) {
   auto listener = replicate::TcpListener::Bind(0);
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
