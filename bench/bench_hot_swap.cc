@@ -11,8 +11,8 @@
 //               reports admitted/rejected counts and the bounded queue
 //               depth (fast-fail engages instead of unbounded latency).
 //
-// The rollout phase cuts snapshots INCREMENTALLY (SnapshotManager's
-// delta mode): the first cut copies the full base and turns dirty-row
+// The rollout phase cuts snapshots incrementally, as SnapshotManager always
+// does: the first cut copies the full base and turns dirty-row
 // tracking on; every later trainer pause serializes only the rows dirtied
 // since the previous cut, and every later PUBLISH replays those deltas
 // straight into the manager's ping-pong buffer stores (no full serialize,
@@ -20,7 +20,8 @@
 //
 // A fourth section measures the publish path in isolation: per-generation
 // publish cost at 1% / 10% / 100% dirty fractions on a "full" store,
-// against the non-incremental full rebuild — the O(dirty) publish claim,
+// against a full rebuild (factory-fresh store + LoadState of the whole
+// SaveState payload + freeze) — the O(dirty) publish claim,
 // machine-readable in BENCH_hot_swap.json as "publish_scaling".
 //
 // Usage: bench_hot_swap [--smoke] [--json <path>]
@@ -37,6 +38,8 @@
 #include "bench/bench_common.h"
 #include "common/random.h"
 #include "common/timer.h"
+#include "io/serialize.h"
+#include "serve/frozen_store.h"
 #include "serve/inference_server.h"
 #include "serve/snapshot_manager.h"
 #include "serve/swappable_store.h"
@@ -146,7 +149,6 @@ int main(int argc, char** argv) {
 
   SnapshotManager::Options manager_options;
   manager_options.min_steps_between_cuts = smoke ? 10 : 25;
-  manager_options.incremental = true;  // delta cuts after the first base
   SnapshotManager manager(
       live_store->get(), live_model->get(),
       [&context]() { return MakeStore("cafe", context); }, manager_options);
@@ -278,10 +280,10 @@ int main(int argc, char** argv) {
   // first fraction-of-the-id-space once (a dense sweep, so the labeled
   // fraction is exactly the dirty fraction — a fixed-size sampled stream
   // would cap dirty rows at its draw count and mislabel the axis), then
-  // cut once through the incremental (double-buffered) manager and once
-  // through a full-rebuild manager. Snapshots are dropped immediately (the
-  // healthy retention pattern), so incremental publishes stay on the
-  // reclaim fast path. At 100% dirty the delta IS the store and publish
+  // cut once through the (double-buffered) manager and time one full
+  // rebuild of the same state. Snapshots are dropped immediately (the
+  // healthy retention pattern), so publishes stay on the reclaim fast
+  // path. At 100% dirty the delta IS the store and publish
   // parity with the full rebuild is expected; the win is the sub-linear
   // region serving rollouts actually live in.
   struct ScalingRow {
@@ -310,11 +312,22 @@ int main(int argc, char** argv) {
       return MakeStore("full", scale_context);
     };
 
-    SnapshotManager::Options inc_options;
-    inc_options.incremental = true;
-    SnapshotManager inc_manager(scale_live->get(), nullptr, scale_factory,
-                                inc_options);
-    SnapshotManager full_manager(scale_live->get(), nullptr, scale_factory);
+    SnapshotManager scale_manager(scale_live->get(), nullptr, scale_factory);
+    // The baseline a publish would cost without the double buffer: a
+    // factory-fresh store takes the full SaveState payload and freezes.
+    auto time_full_rebuild = [&]() {
+      io::Writer writer;
+      CAFE_CHECK(scale_live->get()->SaveState(&writer).ok());
+      const std::string payload = writer.Release();
+      WallTimer timer;
+      auto fresh = scale_factory();
+      CAFE_CHECK(fresh.ok()) << fresh.status().ToString();
+      io::Reader reader(&payload);
+      CAFE_CHECK((*fresh)->LoadState(&reader).ok());
+      CAFE_CHECK(reader.remaining() == 0);
+      auto frozen = FrozenStore::Adopt(std::move(fresh).value());
+      return timer.ElapsedMicros();
+    };
 
     Rng scale_rng(1234);
     std::vector<uint64_t> ids(kScaleBatch);
@@ -335,7 +348,7 @@ int main(int argc, char** argv) {
     // Warm + base cut (turns tracking on; published O(store) once).
     train_interval(scale_features);
     {
-      auto base = inc_manager.Cut();
+      auto base = scale_manager.Cut();
       CAFE_CHECK(base.ok()) << base.status().ToString();
     }
     // Bootstrap the second buffer: generation 2's publish folds the full
@@ -344,7 +357,7 @@ int main(int argc, char** argv) {
     // replays per publish.
     train_interval(scale_features);
     {
-      auto bootstrap = inc_manager.Cut();
+      auto bootstrap = scale_manager.Cut();
       CAFE_CHECK(bootstrap.ok()) << bootstrap.status().ToString();
     }
 
@@ -366,7 +379,7 @@ int main(int argc, char** argv) {
       // publish replays two same-fraction deltas (the steady state).
       train_interval(span);
       {
-        auto transition = inc_manager.Cut();
+        auto transition = scale_manager.Cut();
         CAFE_CHECK(transition.ok()) << transition.status().ToString();
       }
       std::vector<double> apply_us, publish_us, full_us;
@@ -375,21 +388,17 @@ int main(int argc, char** argv) {
       for (int round = 0; round < rounds; ++round) {
         train_interval(span);
         {
-          auto snapshot = inc_manager.Cut();
+          auto snapshot = scale_manager.Cut();
           CAFE_CHECK(snapshot.ok()) << snapshot.status().ToString();
         }
-        const SnapshotManager::Stats inc_stats = inc_manager.stats();
-        CAFE_CHECK(inc_stats.retired_buffers == 0)
+        const SnapshotManager::Stats scale_stats = scale_manager.stats();
+        CAFE_CHECK(scale_stats.retired_buffers == 0)
             << "scaling cuts should stay on the reclaim fast path";
-        apply_us.push_back(inc_stats.last_apply_us);
-        publish_us.push_back(inc_stats.last_publish_us);
-        row.delta_copy_bytes = inc_stats.last_copy_bytes;
-        row.apply_bytes = inc_stats.last_apply_bytes;
-        {
-          auto snapshot = full_manager.Cut();
-          CAFE_CHECK(snapshot.ok()) << snapshot.status().ToString();
-        }
-        full_us.push_back(full_manager.stats().last_publish_us);
+        apply_us.push_back(scale_stats.last_apply_us);
+        publish_us.push_back(scale_stats.last_publish_us);
+        row.delta_copy_bytes = scale_stats.last_copy_bytes;
+        row.apply_bytes = scale_stats.last_apply_bytes;
+        full_us.push_back(time_full_rebuild());
       }
       row.apply_us = bench::Median(apply_us);
       row.publish_us = bench::Median(publish_us);
@@ -426,7 +435,6 @@ int main(int argc, char** argv) {
     json.Field("request_size", static_cast<uint64_t>(request_size));
     json.Field("num_workers", static_cast<uint64_t>(num_workers));
     json.Field("clients", static_cast<uint64_t>(kClients));
-    json.Field("incremental_cuts", true);
     json.EndObject();
     bench::WriteHostInfo(&json);
     auto phase = [&json](const char* name, const PhaseResult& r) {

@@ -81,7 +81,6 @@ int main(int argc, char** argv) {
 
   replicate::ReplicationSource source(factory);
   SnapshotManager::Options manager_options;
-  manager_options.incremental = true;
   manager_options.payload_observer = source.MakeObserver();
   SnapshotManager manager(live->get(), nullptr, factory, manager_options);
 
@@ -229,7 +228,6 @@ int main(int argc, char** argv) {
   replicate::ReplicationSource rejoin_source(rejoin_factory,
                                              rejoin_source_options);
   SnapshotManager::Options rejoin_manager_options;
-  rejoin_manager_options.incremental = true;
   rejoin_manager_options.payload_observer = rejoin_source.MakeObserver();
   SnapshotManager rejoin_manager(rejoin_live->get(), nullptr, rejoin_factory,
                                  rejoin_manager_options);

@@ -90,10 +90,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(options.snapshot_interval),
       static_cast<unsigned long long>(result->final_snapshot->train_step));
   std::printf(
-      "swap cost: trainer copy pause max %.0f us | off-trainer rebuild max "
+      "swap cost: trainer copy pause max %.0f us | off-trainer publish max "
       "%.0f us\n",
       result->snapshot_stats.max_copy_us,
-      result->snapshot_stats.max_rebuild_us);
+      result->snapshot_stats.max_publish_us);
   std::printf(
       "serving:   %llu responses (%llu shed by backpressure) | p50 %.0f us "
       "| p95 %.0f us | p99 %.0f us\n",

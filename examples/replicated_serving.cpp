@@ -107,7 +107,6 @@ int main(int argc, char** argv) {
   options.batch_size = 128;
   options.passes = 2;
   options.snapshot_interval = 8;
-  options.incremental_snapshots = true;
   options.replica_count = 2;
   options.server.num_workers = 2;
   options.server.max_batch = 64;

@@ -65,7 +65,6 @@ class AdaEmbedding : public EmbeddingStore {
   std::string Name() const override { return "ada"; }
   Status SaveState(io::Writer* writer) const override;
   Status LoadState(io::Reader* reader) override;
-  bool SupportsIncrementalSnapshots() const override { return true; }
   using EmbeddingStore::EnableDirtyTracking;
   Status EnableDirtyTracking(bool enable) override;
   Status SaveDelta(io::Writer* writer) override;

@@ -219,8 +219,7 @@ class EmbeddingStore {
                                  "' does not support checkpointing");
   }
 
-  /// True when the store implements the incremental-snapshot trio below
-  /// (EnableDirtyTracking / SaveDelta / LoadDelta).
+  /// No effect; kept only because the benchmark in perfbench/ overrides it.
   virtual bool SupportsIncrementalSnapshots() const { return false; }
 
   /// Switches dirty-row tracking on (enable == true) or off.

@@ -36,7 +36,6 @@ class FullEmbedding : public EmbeddingStore {
   std::string Name() const override { return "full"; }
   Status SaveState(io::Writer* writer) const override;
   Status LoadState(io::Reader* reader) override;
-  bool SupportsIncrementalSnapshots() const override { return true; }
   using EmbeddingStore::EnableDirtyTracking;
   Status EnableDirtyTracking(bool enable) override;
   Status SaveDelta(io::Writer* writer) override;

@@ -44,7 +44,6 @@ class QrEmbedding : public EmbeddingStore {
                           size_t grad_stride, float lr, float clip) override;
   Status SaveState(io::Writer* writer) const override;
   Status LoadState(io::Reader* reader) override;
-  bool SupportsIncrementalSnapshots() const override { return true; }
   using EmbeddingStore::EnableDirtyTracking;
   Status EnableDirtyTracking(bool enable) override;
   Status SaveDelta(io::Writer* writer) override;

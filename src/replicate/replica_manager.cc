@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "io/serialize.h"
-#include "serve/frozen_store.h"
 
 namespace cafe {
 namespace replicate {
@@ -22,18 +21,16 @@ uint64_t NowUs() {
 
 }  // namespace
 
-ReplicaManager::ReplicaManager(SnapshotManager::FreshStoreFactory factory,
+ReplicaManager::ReplicaManager(FreshStoreFactory factory,
                                std::unique_ptr<ByteChannel> channel)
     : ReplicaManager(std::move(factory), std::move(channel), Options()) {}
 
-ReplicaManager::ReplicaManager(SnapshotManager::FreshStoreFactory factory,
+ReplicaManager::ReplicaManager(FreshStoreFactory factory,
                                std::unique_ptr<ByteChannel> channel,
                                const Options& options)
-    : factory_(std::move(factory)),
-      options_(options),
-      leases_(std::make_shared<LeaseState>()),
+    : options_(options),
+      buffers_(std::move(factory), options.reclaim_wait_us),
       channel_(std::move(channel)) {
-  CAFE_CHECK(factory_ != nullptr) << "replica manager needs a store factory";
   CAFE_CHECK(channel_ != nullptr) << "replica manager needs a channel";
   jitter_state_ = options_.reconnect_seed;
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -124,11 +121,9 @@ void ReplicaManager::RestoreFromDurable() {
       }
       continue;
     }
-    auto payload =
-        std::make_shared<const std::string>(std::move(frame.payload));
-    const bool is_delta = frame.kind == FrameKind::kDelta;
-    buffers_[0].pending.push_back({frame.generation, is_delta, payload});
-    buffers_[1].pending.push_back({frame.generation, is_delta, payload});
+    buffers_.Enqueue(
+        frame.generation, frame.kind == FrameKind::kDelta,
+        std::make_shared<const std::string>(std::move(frame.payload)));
   }
   const Status status = PublishGeneration(
       restored->generation, restored->train_step, &Stats::restores);
@@ -136,12 +131,7 @@ void ReplicaManager::RestoreFromDurable() {
     // The ledger does not fit this factory's stores (config changed under
     // us, most likely). Reset everything for a clean cold join — the
     // source's base will overwrite the ledger too.
-    for (BufferSlot& slot : buffers_) {
-      slot.store.reset();
-      slot.pending.clear();
-      slot.state_gen = 0;
-    }
-    publish_seq_ = 0;
+    buffers_.Reset();
     have_aux_ = false;
     current_generation_ = 0;
     return;
@@ -183,14 +173,16 @@ void ReplicaManager::MaybeCompactDurable(uint64_t generation,
   }
   // Fold the delta tail into one base from the buffer just published (the
   // apply thread owns its mutations; concurrent serving reads are fine).
-  BufferSlot& serving = buffers_[(publish_seq_ - 1) & 1];
-  if (serving.store == nullptr || serving.state_gen != generation) return;
+  const EmbeddingStore* serving = buffers_.serving_store();
+  if (serving == nullptr || buffers_.serving_generation() != generation) {
+    return;
+  }
   io::Writer writer;
   Frame base;
   base.kind = FrameKind::kBase;
   base.generation = generation;
   base.train_step = train_step;
-  Status status = serving.store->SaveState(&writer);
+  Status status = serving->SaveState(&writer);
   if (status.ok()) {
     base.payload = writer.Release();
     status = durable_->AppendBase(base);
@@ -379,10 +371,9 @@ Status ReplicaManager::HandleFrame(Frame frame) {
         return Status::OK();
       }
       PersistFrame(frame);
-      auto payload =
-          std::make_shared<const std::string>(std::move(frame.payload));
-      buffers_[0].pending.push_back({frame.generation, false, payload});
-      buffers_[1].pending.push_back({frame.generation, false, payload});
+      buffers_.Enqueue(
+          frame.generation, /*is_delta=*/false,
+          std::make_shared<const std::string>(std::move(frame.payload)));
       CAFE_RETURN_IF_ERROR(PublishGeneration(frame.generation, frame.train_step,
                                              &Stats::bases_applied));
       awaiting_base_ = false;
@@ -413,10 +404,9 @@ Status ReplicaManager::HandleFrame(Frame frame) {
       }
       PersistFrame(frame);
       const uint64_t train_step = frame.train_step;
-      auto payload =
-          std::make_shared<const std::string>(std::move(frame.payload));
-      buffers_[0].pending.push_back({frame.generation, true, payload});
-      buffers_[1].pending.push_back({frame.generation, true, payload});
+      buffers_.Enqueue(
+          frame.generation, /*is_delta=*/true,
+          std::make_shared<const std::string>(std::move(frame.payload)));
       CAFE_RETURN_IF_ERROR(PublishGeneration(frame.generation, train_step,
                                              &Stats::deltas_applied));
       SendControl(FrameKind::kAck, frame.generation);
@@ -433,138 +423,20 @@ Status ReplicaManager::HandleFrame(Frame frame) {
   }
 }
 
-Status ReplicaManager::ReclaimOrRetire(size_t slot, uint64_t generation) {
-  bool retired = false;
-  {
-    std::unique_lock<std::mutex> lock(leases_->mu);
-    if (leases_->leased[slot]) {
-      const auto wait = std::chrono::microseconds(options_.reclaim_wait_us);
-      if (!leases_->cv.wait_for(lock, wait,
-                                [&] { return !leases_->leased[slot]; })) {
-        leases_->leased[slot] = false;
-        ++leases_->epoch[slot];
-        retired = true;
-      }
-    }
-  }
-  if (!retired) return Status::OK();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.retired_buffers;
-  }
-
-  BufferSlot& target = buffers_[slot];
-  BufferSlot& other = buffers_[slot ^ 1];
-  target.store.reset();  // the holder's FrozenStore keeps the old buffer
-
-  // If the queue holds a base, a factory-fresh store suffices — the base
-  // LoadState rebuilds from nothing. Entries BEFORE the last base must be
-  // dropped: a delta replayed into an untrained store is not merely wrong,
-  // its decay-replay guards reject it.
-  size_t last_base = target.pending.size();
-  for (size_t i = 0; i < target.pending.size(); ++i) {
-    if (!target.pending[i].is_delta) last_base = i;
-  }
-  if (last_base < target.pending.size()) {
-    target.pending.erase(target.pending.begin(),
-                         target.pending.begin() + last_base);
-    auto fresh = factory_();
-    if (!fresh.ok()) return fresh.status();
-    if (*fresh == nullptr) {
-      return Status::InvalidArgument("replica store factory returned null");
-    }
-    target.store = std::move(fresh).value();
-    target.state_gen = 0;
-    return Status::OK();
-  }
-
-  // Delta-only queue: clone the serving buffer (it is exactly one
-  // generation behind — deltas are accepted contiguously).
-  if (other.store == nullptr || other.state_gen + 1 != generation) {
-    return Status::Internal(
-        "replica retire: serving buffer is not at the preceding generation");
-  }
-  auto fresh = factory_();
-  if (!fresh.ok()) return fresh.status();
-  if (*fresh == nullptr) {
-    return Status::InvalidArgument("replica store factory returned null");
-  }
-  io::Writer writer;
-  CAFE_RETURN_IF_ERROR(other.store->SaveState(&writer));
-  io::Reader reader(writer.Release());
-  CAFE_RETURN_IF_ERROR((*fresh)->LoadState(&reader));
-  if (reader.remaining() != 0) {
-    return Status::Internal(
-        "replica state not fully consumed rebuilding a retired buffer");
-  }
-  target.store = std::move(fresh).value();
-  target.state_gen = other.state_gen;
-  while (!target.pending.empty() &&
-         target.pending.front().generation <= target.state_gen) {
-    target.pending.pop_front();
-  }
-  return Status::OK();
-}
-
 Status ReplicaManager::PublishGeneration(uint64_t generation,
                                          uint64_t train_step,
                                          uint64_t Stats::*applied) {
-  // Alternate slots per PUBLISH, not per generation parity: a rebase can
-  // jump the generation by any amount, and the target must never be the
-  // buffer the current generation is serving from.
-  const size_t slot = static_cast<size_t>(publish_seq_++ & 1);
-  CAFE_RETURN_IF_ERROR(ReclaimOrRetire(slot, generation));
-
-  BufferSlot& target = buffers_[slot];
-  uint64_t applied_bytes = 0;
-  while (!target.pending.empty()) {
-    PendingPayload entry = std::move(target.pending.front());
-    target.pending.pop_front();
-    if (entry.generation <= target.state_gen) continue;  // already folded in
-    if (target.store == nullptr) {
-      auto fresh = factory_();
-      if (!fresh.ok()) return fresh.status();
-      if (*fresh == nullptr) {
-        return Status::InvalidArgument("replica store factory returned null");
-      }
-      target.store = std::move(fresh).value();
-    }
-    io::Reader reader(entry.payload.get());
-    Status status = entry.is_delta ? target.store->LoadDelta(&reader)
-                                   : target.store->LoadState(&reader);
-    if (status.ok() && reader.remaining() != 0) {
-      status = Status::Internal(
-          "replication payload not fully consumed by the replica buffer");
-    }
-    // A fingerprint-valid frame that fails to APPLY is not wire damage — a
-    // resync would replay the same bytes. Configuration mismatch between
-    // source and replica factories; stop for good.
-    CAFE_RETURN_IF_ERROR(status);
-    applied_bytes += entry.payload->size();
-    target.state_gen = entry.generation;
-  }
-  if (target.state_gen != generation) {
-    return Status::Internal(
-        "replica publish drained to the wrong generation");
-  }
-
   auto snapshot = std::make_shared<ServingSnapshot>();
-  uint64_t token = 0;
-  {
-    std::lock_guard<std::mutex> lock(leases_->mu);
-    leases_->leased[slot] = true;
-    token = ++leases_->epoch[slot];
+  DoubleBuffer::PublishInfo info;
+  const Status status = buffers_.Publish(generation, snapshot.get(), &info);
+  if (info.retired) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.retired_buffers;
   }
-  std::shared_ptr<LeaseState> lease_state = leases_;
-  snapshot->buffer_lease = std::shared_ptr<void>(
-      static_cast<void*>(nullptr), [lease_state, slot, token](void*) {
-        std::lock_guard<std::mutex> lock(lease_state->mu);
-        if (lease_state->epoch[slot] == token) {
-          lease_state->leased[slot] = false;
-          lease_state->cv.notify_all();
-        }
-      });
-  snapshot->store = FrozenStore::AdoptShared(target.store);
+  // A fingerprint-valid frame that fails to APPLY is not wire damage — a
+  // resync would replay the same bytes. Configuration mismatch between
+  // source and replica factories; stop for good.
+  CAFE_RETURN_IF_ERROR(status);
   snapshot->generation = generation;
   snapshot->train_step = train_step;
   if (have_aux_ && aux_generation_ == generation) {
@@ -577,7 +449,7 @@ Status ReplicaManager::PublishGeneration(uint64_t generation,
 
   current_generation_ = generation;
   obs_generation_->Set(static_cast<double>(generation));
-  obs_bytes_applied_->Add(applied_bytes);
+  obs_bytes_applied_->Add(info.apply_bytes);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (swappable_ == nullptr) {
@@ -587,7 +459,7 @@ Status ReplicaManager::PublishGeneration(uint64_t generation,
     }
     stats_.generation = generation;
     stats_.train_step = train_step;
-    stats_.bytes_applied += applied_bytes;
+    stats_.bytes_applied += info.apply_bytes;
     ++(stats_.*applied);
     cv_.notify_all();
   }

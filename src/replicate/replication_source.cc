@@ -20,10 +20,10 @@ uint64_t NowUs() {
 
 }  // namespace
 
-ReplicationSource::ReplicationSource(SnapshotManager::FreshStoreFactory factory)
+ReplicationSource::ReplicationSource(FreshStoreFactory factory)
     : ReplicationSource(std::move(factory), Options()) {}
 
-ReplicationSource::ReplicationSource(SnapshotManager::FreshStoreFactory factory,
+ReplicationSource::ReplicationSource(FreshStoreFactory factory,
                                      const Options& options)
     : factory_(std::move(factory)), options_(options) {
   CAFE_CHECK(factory_ != nullptr) << "replication source needs a store factory";

@@ -84,9 +84,8 @@ class ReplicationSource {
 
   /// `factory` must build stores of the live store's exact configuration
   /// (the SnapshotManager contract; pass the same factory).
-  explicit ReplicationSource(SnapshotManager::FreshStoreFactory factory);
-  ReplicationSource(SnapshotManager::FreshStoreFactory factory,
-                    const Options& options);
+  explicit ReplicationSource(FreshStoreFactory factory);
+  ReplicationSource(FreshStoreFactory factory, const Options& options);
   ~ReplicationSource();
 
   /// The callback to install as SnapshotManager::Options::payload_observer.
@@ -219,7 +218,7 @@ class ReplicationSource {
   void UpdateLagLocked(Link* link);
   void UpdateQueueGaugesLocked(Link* link);
 
-  SnapshotManager::FreshStoreFactory factory_;
+  FreshStoreFactory factory_;
   Options options_;
 
   mutable std::mutex mu_;

@@ -23,6 +23,9 @@ namespace cafe {
 namespace replicate {
 namespace {
 
+/// Bytes memmoved by every PipeLane compaction (PipeCompactionBytes).
+std::atomic<uint64_t> g_pipe_compaction_bytes{0};
+
 /// One direction of a pipe. `capacity == 0` means unbounded (writes never
 /// block); otherwise Append waits for the reader to drain space, which is
 /// the backpressure the flow-control tests lean on. Both endpoints hold the
@@ -48,6 +51,7 @@ struct PipeLane {
   void Consume(size_t n) {
     read_pos += n;
     if (read_pos >= data.size() / 2) {
+      g_pipe_compaction_bytes.fetch_add(unread(), std::memory_order_relaxed);
       data.erase(0, read_pos);
       read_pos = 0;
     }
@@ -263,6 +267,10 @@ void SetNoDelay(int fd) {
 }
 
 }  // namespace
+
+uint64_t PipeCompactionBytes() {
+  return g_pipe_compaction_bytes.load(std::memory_order_relaxed);
+}
 
 TransportPair MakePipeTransport(FaultPlan source_faults,
                                 size_t capacity_bytes) {

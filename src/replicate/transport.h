@@ -76,6 +76,12 @@ struct FaultPlan {
 TransportPair MakePipeTransport(FaultPlan source_faults = {},
                                 size_t capacity_bytes = 0);
 
+/// Bytes all in-process pipes have memmoved to compact their read buffers
+/// since the process started. A lane compacts only once its read prefix
+/// reaches half the buffer, so this stays at most the bytes read — a
+/// deterministic check that draining a stream in small reads is O(bytes).
+uint64_t PipeCompactionBytes();
+
 /// Loopback TCP (127.0.0.1, ephemeral port, TCP_NODELAY): the same
 /// protocol over a real socket — OS framing, partial reads, EPIPE on a
 /// dead peer.

@@ -1,6 +1,5 @@
 #include "serve/snapshot_manager.h"
 
-#include <chrono>
 #include <utility>
 
 #include "common/logging.h"
@@ -8,7 +7,6 @@
 #include "io/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/frozen_store.h"
 
 namespace cafe {
 namespace {
@@ -46,6 +44,23 @@ SnapshotMetrics& Metrics() {
   return *metrics;
 }
 
+/// Wraps the factory with a check that it builds the live store's kind.
+FreshStoreFactory NameCheckedFactory(FreshStoreFactory factory,
+                                     const EmbeddingStore* live_store) {
+  CAFE_CHECK(live_store != nullptr) << "snapshot manager needs a live store";
+  CAFE_CHECK(factory != nullptr) << "snapshot manager needs a store factory";
+  return [factory = std::move(factory), live_name = live_store->Name()]()
+             -> StatusOr<std::unique_ptr<EmbeddingStore>> {
+    auto fresh = factory();
+    if (fresh.ok() && *fresh != nullptr && (*fresh)->Name() != live_name) {
+      return Status::FailedPrecondition(
+          "snapshot store factory built '" + (*fresh)->Name() +
+          "' but the live store is '" + live_name + "'");
+    }
+    return fresh;
+  };
+}
+
 }  // namespace
 
 SnapshotManager::SnapshotManager(EmbeddingStore* live_store,
@@ -54,16 +69,9 @@ SnapshotManager::SnapshotManager(EmbeddingStore* live_store,
                                  const Options& options)
     : live_store_(live_store),
       live_model_(live_model),
-      factory_(std::move(factory)),
       options_(options),
-      live_name_(live_store != nullptr ? live_store->Name() : ""),
-      leases_(std::make_shared<LeaseState>()) {
-  CAFE_CHECK(live_store_ != nullptr) << "snapshot manager needs a live store";
-  CAFE_CHECK(factory_ != nullptr) << "snapshot manager needs a store factory";
-  CAFE_CHECK(!options_.incremental ||
-             live_store_->SupportsIncrementalSnapshots())
-      << "incremental cuts requested but store '" << live_name_
-      << "' does not support SaveDelta/LoadDelta";
+      buffers_(NameCheckedFactory(std::move(factory), live_store),
+               options.reclaim_wait_us) {
   CAFE_CHECK(!options_.capture_optimizer || live_model_ != nullptr)
       << "capture_optimizer requested without a live model";
 }
@@ -75,7 +83,7 @@ SnapshotManager::SnapshotManager(EmbeddingStore* live_store,
 
 SnapshotManager::~SnapshotManager() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (options_.incremental && base_cut_done_) {
+  if (base_cut_done_) {
     // Full reset (epochs + full-section flags), not just a stop: a fresh
     // manager created over the same live store must rebase from a clean
     // slate even when THIS manager died with a poisoned publish chain.
@@ -87,13 +95,13 @@ void SnapshotManager::CopyStateLocked(uint64_t step) {
   obs::TraceSpan span("snapshot.copy");
   WallTimer timer;
   io::Writer writer;
-  if (options_.incremental && base_cut_done_) {
+  if (base_cut_done_) {
     pending_status_ = live_store_->SaveDelta(&writer);
     pending_is_delta_ = true;
   } else {
     pending_status_ = live_store_->SaveState(&writer);
     pending_is_delta_ = false;
-    if (options_.incremental && pending_status_.ok()) {
+    if (pending_status_.ok()) {
       // Tracking switches on at the SAME boundary the base captures:
       // everything after this instant lands in the first delta.
       pending_status_ = live_store_->EnableDirtyTracking();
@@ -123,7 +131,7 @@ void SnapshotManager::CopyStateLocked(uint64_t step) {
       }
     }
   }
-  if (!pending_status_.ok() && options_.incremental && base_cut_done_) {
+  if (!pending_status_.ok() && base_cut_done_) {
     // A capture step failed and the payload is about to be discarded with
     // the error — but it may have been the only record of flushed state: a
     // SaveDelta has already emptied the dirty sets, and a just-taken base
@@ -175,77 +183,9 @@ void SnapshotManager::FinishTraining(uint64_t final_step) {
   cv_.notify_all();
 }
 
-StatusOr<std::unique_ptr<EmbeddingStore>>
-SnapshotManager::MakeValidatedFreshStore() {
-  auto fresh = factory_();
-  if (!fresh.ok()) return fresh.status();
-  if (*fresh == nullptr) {
-    return Status::InvalidArgument("snapshot store factory returned null");
-  }
-  if ((*fresh)->Name() != live_name_) {
-    return Status::FailedPrecondition(
-        "snapshot store factory built '" + (*fresh)->Name() +
-        "' but the live store is '" + live_name_ + "'");
-  }
-  return fresh;
-}
-
-Status SnapshotManager::ReclaimOrRetire(size_t slot, uint64_t generation,
-                                        bool* retired) {
-  *retired = false;
-  {
-    std::unique_lock<std::mutex> lock(leases_->mu);
-    if (leases_->leased[slot]) {
-      const auto wait = std::chrono::microseconds(options_.reclaim_wait_us);
-      if (!leases_->cv.wait_for(
-              lock, wait, [&] { return !leases_->leased[slot]; })) {
-        // The previous-but-one generation is still held: retire this buffer
-        // to its holder (shared ownership keeps it alive) and bump the
-        // lease epoch so the stale lease's eventual release cannot clear a
-        // lease the REPLACEMENT buffer hands out later.
-        leases_->leased[slot] = false;
-        ++leases_->epoch[slot];
-        *retired = true;
-      }
-    }
-  }
-  if (!*retired) return Status::OK();
-
-  BufferSlot& target = buffers_[slot];
-  BufferSlot& other = buffers_[slot ^ 1];
-  if (other.store == nullptr || other.state_gen + 1 != generation) {
-    return Status::Internal(
-        "double-buffer retire: serving buffer is not at the preceding "
-        "generation");
-  }
-  target.store.reset();  // the holder's FrozenStore keeps the old buffer
-  auto fresh = MakeValidatedFreshStore();
-  if (!fresh.ok()) return fresh.status();
-  // Clone the serving buffer's state: SaveState is const and the buffer is
-  // frozen, so this runs safely alongside concurrent serving lookups. This
-  // is the O(store) fallback the lease machinery exists to avoid.
-  io::Writer writer;
-  CAFE_RETURN_IF_ERROR(other.store->SaveState(&writer));
-  std::string full = writer.Release();
-  io::Reader reader(std::move(full));
-  CAFE_RETURN_IF_ERROR((*fresh)->LoadState(&reader));
-  if (reader.remaining() != 0) {
-    return Status::Internal(
-        "snapshot state not fully consumed rebuilding a retired buffer");
-  }
-  target.store = std::move(fresh).value();
-  target.state_gen = other.state_gen;
-  // Payloads the rebuild already folded in are no longer needed.
-  while (!target.pending.empty() &&
-         target.pending.front().generation <= target.state_gen) {
-    target.pending.pop_front();
-  }
-  return Status::OK();
-}
-
-Status SnapshotManager::PublishIncremental(
-    std::shared_ptr<const std::string> payload, bool is_delta,
-    uint64_t generation, ServingSnapshot* out) {
+Status SnapshotManager::Publish(std::shared_ptr<const std::string> payload,
+                                bool is_delta, uint64_t generation,
+                                ServingSnapshot* out) {
   WallTimer publish_timer;
   Status status;
   {
@@ -259,78 +199,11 @@ Status SnapshotManager::PublishIncremental(
         lock, [&] { return published_generation_ + 1 == generation; });
     status = publish_status_;
   }
-
-  const size_t slot = static_cast<size_t>(generation & 1);
-  uint64_t apply_bytes = 0;
-  double apply_us = 0.0;
-  bool retired = false;
+  DoubleBuffer::PublishInfo info;
   if (status.ok()) {
-    // Every payload goes to BOTH buffers: the target folds it in now, the
-    // serving buffer keeps it queued (the lagging queue) until it rotates
-    // back to the off position next cut.
-    buffers_[0].pending.push_back({generation, is_delta, payload});
-    buffers_[1].pending.push_back({generation, is_delta, payload});
-    status = ReclaimOrRetire(slot, generation, &retired);
+    buffers_.Enqueue(generation, is_delta, std::move(payload));
+    status = buffers_.Publish(generation, out, &info);
   }
-  if (status.ok()) {
-    BufferSlot& target = buffers_[slot];
-    obs::TraceSpan apply_span("snapshot.apply");
-    WallTimer apply_timer;
-    while (status.ok() && !target.pending.empty()) {
-      PendingPayload entry = std::move(target.pending.front());
-      target.pending.pop_front();
-      if (entry.generation <= target.state_gen) continue;  // folded in
-      if (target.store == nullptr) {
-        auto fresh = MakeValidatedFreshStore();
-        if (!fresh.ok()) {
-          status = fresh.status();
-          break;
-        }
-        target.store = std::move(fresh).value();
-      }
-      io::Reader reader(entry.payload.get());
-      status = entry.is_delta ? target.store->LoadDelta(&reader)
-                              : target.store->LoadState(&reader);
-      if (status.ok() && reader.remaining() != 0) {
-        status = Status::Internal(
-            "snapshot payload not fully consumed by the buffer store");
-      }
-      if (status.ok()) {
-        apply_bytes += entry.payload->size();
-        target.state_gen = entry.generation;
-      }
-    }
-    apply_us = apply_timer.ElapsedMicros();
-    if (status.ok() && target.state_gen != generation) {
-      status = Status::Internal(
-          "double-buffer publish drained to the wrong generation");
-    }
-  }
-  if (status.ok()) {
-    // Freeze + no-copy handoff. The lease is marked before the snapshot
-    // escapes; its deleter (run by whoever drops the last reference — the
-    // hub at Install, or the last in-flight PinScope) hands the buffer
-    // back. The deleter holds LeaseState strongly, so a snapshot outliving
-    // the manager still releases against valid memory.
-    uint64_t token = 0;
-    {
-      std::lock_guard<std::mutex> lock(leases_->mu);
-      leases_->leased[slot] = true;
-      token = ++leases_->epoch[slot];
-    }
-    std::shared_ptr<LeaseState> lease_state = leases_;
-    out->buffer_lease = std::shared_ptr<void>(
-        static_cast<void*>(nullptr),
-        [lease_state, slot, token](void*) {
-          std::lock_guard<std::mutex> lock(lease_state->mu);
-          if (lease_state->epoch[slot] == token) {
-            lease_state->leased[slot] = false;
-            lease_state->cv.notify_all();
-          }
-        });
-    out->store = FrozenStore::AdoptShared(buffers_[slot].store);
-  }
-
   const double publish_us = publish_timer.ElapsedMicros();
   {
     // Advance the turn even on failure (later publishers fail fast on the
@@ -340,29 +213,21 @@ Status SnapshotManager::PublishIncremental(
     published_generation_ = generation;
     publish_cv_.notify_all();
   }
-  if (status.ok()) {
-    // Only successful publishes report: a fail-fast on a poisoned chain
-    // must not clobber the last real measurement with zeros, and a retire
-    // whose replacement rebuild then failed produced no publish to count.
-    RecordPublishStats(apply_us, apply_bytes, publish_us, retired);
-  }
-  return status;
-}
-
-void SnapshotManager::RecordPublishStats(double apply_us, uint64_t apply_bytes,
-                                         double publish_us, bool retired) {
-  Metrics().apply_us->Record(apply_us);
-  Metrics().apply_bytes->Add(apply_bytes);
+  if (!status.ok()) return status;
+  // Only successful publishes report: a fail-fast on a poisoned chain must
+  // not clobber the last real measurement with zeros, and a retire whose
+  // replacement rebuild then failed produced no publish to count.
+  Metrics().apply_us->Record(info.apply_us);
+  Metrics().apply_bytes->Add(info.apply_bytes);
   Metrics().publish_us->Record(publish_us);
-  if (retired) Metrics().retired_buffers->Add(1);
+  if (info.retired) Metrics().retired_buffers->Add(1);
   std::lock_guard<std::mutex> lock(mu_);
-  stats_.last_apply_us = apply_us;
-  stats_.last_apply_bytes = apply_bytes;
+  stats_.last_apply_us = info.apply_us;
+  stats_.last_apply_bytes = info.apply_bytes;
   stats_.last_publish_us = publish_us;
   if (publish_us > stats_.max_publish_us) stats_.max_publish_us = publish_us;
-  stats_.last_rebuild_us = publish_us;
-  if (publish_us > stats_.max_rebuild_us) stats_.max_rebuild_us = publish_us;
-  if (retired) ++stats_.retired_buffers;
+  if (info.retired) ++stats_.retired_buffers;
+  return Status::OK();
 }
 
 StatusOr<std::shared_ptr<const ServingSnapshot>> SnapshotManager::Cut() {
@@ -434,33 +299,11 @@ StatusOr<std::shared_ptr<const ServingSnapshot>> SnapshotManager::Cut() {
     options_.payload_observer(boundary);
   }
 
-  // Publish OFF the trainer's critical path.
+  // Publish OFF the trainer's critical path: replay the lagging queue into
+  // the non-serving buffer and freeze it in place (see the class comment).
   obs::TraceSpan publish_span("snapshot.publish");
-  if (options_.incremental) {
-    // Double-buffered O(dirty) publish: replay the lagging queue into the
-    // non-serving buffer and freeze it in place (see the class comment).
-    CAFE_RETURN_IF_ERROR(
-        PublishIncremental(shared_payload, is_delta, generation,
-                           snapshot.get()));
-  } else {
-    // Full publish: a factory-fresh store takes the copied state, then
-    // freezes — each snapshot is self-contained.
-    WallTimer timer;
-    auto fresh = MakeValidatedFreshStore();
-    if (!fresh.ok()) return fresh.status();
-    io::Reader reader(shared_payload.get());
-    const size_t payload_bytes = reader.remaining();
-    CAFE_RETURN_IF_ERROR((*fresh)->LoadState(&reader));
-    if (reader.remaining() != 0) {
-      return Status::Internal(
-          "snapshot state not fully consumed by LoadState");
-    }
-    snapshot->store = FrozenStore::Adopt(std::move(fresh).value());
-    const double rebuild_us = timer.ElapsedMicros();
-    RecordPublishStats(rebuild_us, payload_bytes, rebuild_us,
-                       /*retired=*/false);
-  }
-
+  CAFE_RETURN_IF_ERROR(
+      Publish(std::move(shared_payload), is_delta, generation, snapshot.get()));
   publish_span.Finish();
   Metrics().cuts->Add(1);
   if (is_delta) Metrics().delta_cuts->Add(1);

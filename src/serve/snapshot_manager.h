@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -14,6 +13,7 @@
 #include "common/status.h"
 #include "embed/embedding_store.h"
 #include "models/model.h"
+#include "serve/double_buffer.h"
 #include "serve/swappable_store.h"
 
 namespace cafe {
@@ -50,57 +50,31 @@ namespace cafe {
 /// Cut() copies directly on the calling thread — the store is quiescent by
 /// contract then, which is how the initial and final generations are cut.
 ///
-/// # Full cuts (Options::incremental == false)
-///
-/// Every cut copies the full SaveState payload and publishes by LoadState
-/// into a factory-fresh store — each snapshot is self-contained, any number
-/// of generations can be retained side by side, and both the trainer pause
-/// and the publish are O(store bytes).
-///
-/// # Incremental cuts (Options::incremental == true)
-///
 /// The WHOLE path is O(rows changed since the last cut):
 ///
 ///  - Trainer copy: the first serviced cut copies the full SaveState base
 ///    and switches the store's dirty-row tracking on at the same boundary;
 ///    every later cut copies only a SaveDelta.
-///  - Publish: the manager keeps TWO resident ping-pong buffer stores. Each
-///    payload is queued to both; a cut drains the NON-serving buffer's
-///    lagging queue (the deltas it missed while it was pinned by the
-///    previous-but-one generation) directly via LoadDelta, then freezes and
-///    publishes that buffer with a no-copy handoff
-///    (FrozenStore::AdoptShared) while the previous generation keeps
-///    serving from the other buffer. No full serialize, no LoadState, no
-///    fresh store per publish — steady-state publish cost is two delta
-///    applications.
-///  - Reclaim: each published snapshot carries a lease on its buffer; the
-///    buffer only re-enters delta replay once every holder — including
-///    outstanding SwappableStore PinScopes — has dropped the snapshot
-///    (Install() retires the outgoing generation; the last pin releases the
-///    lease). If a consumer retains an old generation past
-///    Options::reclaim_wait_us, the manager RETIRES that buffer to the
-///    holder (shared ownership keeps it alive) and rebuilds a replacement
-///    from the serving buffer's SaveState — an O(store) fallback that keeps
-///    every generation correct at the cost of one full rebuild, counted in
-///    Stats::retired_buffers.
+///  - Publish: each payload goes through a DoubleBuffer
+///    (serve/double_buffer.h): two resident ping-pong buffer stores, delta
+///    replay into the non-serving one, a no-copy freeze, and a lease per
+///    snapshot that hands the buffer back once every holder — including
+///    outstanding SwappableStore PinScopes — has dropped it. A generation
+///    held past Options::reclaim_wait_us forces an O(store) retire,
+///    counted in Stats::retired_buffers.
 ///
-/// Either way every published generation is bit-identical to a quiesced
-/// SaveState freeze at its step — the invariant the hot-swap/parity test
-/// batteries assert for all 9 stores, under TSan.
+/// Every published generation is bit-identical to a quiesced SaveState
+/// freeze at its step — the invariant the hot-swap/parity test batteries
+/// assert for all 9 stores, under TSan. A full cut is just a base with no
+/// deltas after it.
 ///
-/// Incremental-mode retention contract: at most the two most recent
-/// generations can be held WITHOUT forcing retire fallbacks; a rollout loop
-/// that installs each snapshot into a SwappableStore (dropping its own
-/// reference) satisfies it naturally. A snapshot may outlive the manager —
-/// shared buffer ownership keeps its store alive.
+/// Retention contract: at most the two most recent generations can be held
+/// WITHOUT forcing retire fallbacks; a rollout loop that installs each
+/// snapshot into a SwappableStore (dropping its own reference) satisfies it
+/// naturally. A snapshot may outlive the manager — shared buffer ownership
+/// keeps its store alive.
 class SnapshotManager {
  public:
-  /// Builds a fresh, untrained store of the live store's exact
-  /// configuration (the checkpoint-restore contract: state is copied into
-  /// it via LoadState).
-  using FreshStoreFactory =
-      std::function<StatusOr<std::unique_ptr<EmbeddingStore>>()>;
-
   /// One boundary copy, as handed to Options::payload_observer: exactly
   /// the bytes a replica must replay to reach `generation` (a full
   /// SaveState base, or a SaveDelta relative to generation - 1), plus the
@@ -137,9 +111,7 @@ class SnapshotManager {
     /// Replication tap (see BoundaryPayload above); null = disabled.
     PayloadObserver payload_observer;
 
-    /// Incremental cuts + double-buffered O(dirty) publish (see the class
-    /// comment). Requires a store with SupportsIncrementalSnapshots()
-    /// (checked at construction).
+    /// No effect; kept only because the benchmark in perfbench/ sets it.
     bool incremental = false;
 
     /// Also copy the live model's Optimizer::SaveState (Adagrad/Adam
@@ -149,8 +121,8 @@ class SnapshotManager {
     /// optimizer serialize to the trainer pause. Requires a live model.
     bool capture_optimizer = false;
 
-    /// Incremental mode: how long a publish waits for the target buffer's
-    /// lease before giving up and retiring it (O(store) rebuild fallback).
+    /// How long a publish waits for the target buffer's lease before
+    /// giving up and retiring it (O(store) rebuild fallback).
     /// In a healthy rollout the lease released a whole cut interval ago;
     /// this only bites consumers that retain generations.
     uint64_t reclaim_wait_us = 20000;
@@ -159,15 +131,17 @@ class SnapshotManager {
   /// `live_store` (and `live_model`, when not null) must outlive the
   /// manager; `live_model`'s dense parameters are captured into each
   /// snapshot at the same boundary as the store state. Pass a null model
-  /// for store-only snapshots.
+  /// for store-only snapshots. The live store must implement dirty
+  /// tracking (every built-in store does); otherwise the first Cut()
+  /// returns EnableDirtyTracking's Unimplemented status.
   SnapshotManager(EmbeddingStore* live_store, RecModel* live_model,
                   FreshStoreFactory factory, const Options& options);
   SnapshotManager(EmbeddingStore* live_store, RecModel* live_model,
                   FreshStoreFactory factory);
 
-  /// Switches the live store's dirty tracking back off (incremental mode)
-  /// with a FULL epoch reset, so a fresh manager on the same live store —
-  /// even after this one's publish chain was poisoned — rebases cleanly.
+  /// Switches the live store's dirty tracking back off with a FULL epoch
+  /// reset, so a fresh manager on the same live store — even after this
+  /// one's publish chain was poisoned — rebases cleanly.
   /// The caller must have stopped training and joined every Cut() caller
   /// first — the same quiescence the rest of teardown already requires.
   /// Outstanding snapshots stay valid: their buffers are co-owned.
@@ -192,8 +166,7 @@ class SnapshotManager {
   /// Active trainer: blocks until the next (interval-eligible) step
   /// boundary copy, then publishes off the trainer thread. Idle trainer:
   /// copies directly on this thread. Concurrent Cut() calls are safe; they
-  /// serialize on the hand-off and (incremental mode) publish in claim
-  /// order.
+  /// serialize on the hand-off and publish in claim order.
   StatusOr<std::shared_ptr<const ServingSnapshot>> Cut();
 
   /// True while a Cut() is waiting for a step boundary to copy at. Lets
@@ -205,11 +178,11 @@ class SnapshotManager {
 
   struct Stats {
     uint64_t cuts = 0;
-    /// Cuts serviced as deltas (incremental mode; the first cut is a base).
+    /// Cuts serviced as deltas (the first cut, and any rebase, is a base).
     uint64_t delta_cuts = 0;
-    /// Incremental publishes that hit the retire fallback (the target
-    /// buffer's generation was still held past reclaim_wait_us, forcing an
-    /// O(store) rebuild). 0 in a healthy install-and-release rollout.
+    /// Publishes that hit the retire fallback (the target buffer's
+    /// generation was still held past reclaim_wait_us). 0 in a healthy
+    /// install-and-release rollout.
     uint64_t retired_buffers = 0;
     /// Trainer pause per cut (the state copy) — the cost training pays.
     double last_copy_us = 0.0;
@@ -218,87 +191,31 @@ class SnapshotManager {
     uint64_t last_copy_bytes = 0;
     /// Off-trainer publish per cut, split into the delta/base replay into
     /// the target buffer (apply) and the whole publish (reclaim wait +
-    /// apply + freeze). Incremental mode: apply bytes are the lagging-queue
-    /// payload bytes folded into the published buffer — O(dirty) in steady
-    /// state. Full mode: apply == the LoadState rebuild, bytes == the full
-    /// payload.
+    /// apply + freeze). Apply bytes are the lagging-queue payload bytes
+    /// folded into the published buffer — O(dirty) in steady state.
     double last_apply_us = 0.0;
     uint64_t last_apply_bytes = 0;
     double last_publish_us = 0.0;
     double max_publish_us = 0.0;
-    /// Back-compat aliases of the publish timings (pre-double-buffer name).
-    double last_rebuild_us = 0.0;
-    double max_rebuild_us = 0.0;
   };
   Stats stats() const;
 
  private:
-  /// One queued copy payload awaiting replay into a buffer.
-  struct PendingPayload {
-    uint64_t generation = 0;
-    bool is_delta = false;
-    /// Shared between the two buffers' queues (applied once per buffer,
-    /// through a borrowing io::Reader — never copied).
-    std::shared_ptr<const std::string> payload;
-  };
-
-  /// One resident ping-pong buffer. Only the publish-turn holder touches a
-  /// slot (publishes are generation-sequenced), so no per-slot lock.
-  struct BufferSlot {
-    std::shared_ptr<EmbeddingStore> store;  // null until first materialized
-    /// Generation whose state the store currently holds.
-    uint64_t state_gen = 0;
-    /// Payloads newer than state_gen, oldest first (the lagging queue).
-    std::deque<PendingPayload> pending;
-  };
-
-  /// Lease bookkeeping shared with outstanding snapshots' lease deleters;
-  /// lives in a shared_ptr so a snapshot outliving the manager releases
-  /// against valid memory.
-  struct LeaseState {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool leased[2] = {false, false};
-    /// Bumped per lease hand-out AND per retire: a retired (stale) lease's
-    /// eventual release compares its token against this and no-ops, so it
-    /// can never clear a lease the replacement buffer handed out later.
-    uint64_t epoch[2] = {0, 0};
-  };
-
-  /// Copies live state into the hand-off buffer — the full SaveState
-  /// payload, or (incremental mode, after the base) a SaveDelta — plus the
-  /// model's dense weights and (capture_optimizer) optimizer state. Caller
-  /// holds mu_ and guarantees the store is not being mutated (trainer
-  /// thread at a boundary, or no trainer active).
+  /// Copies live state into the hand-off buffer — the full SaveState base,
+  /// or (after the base) a SaveDelta — plus the model's dense weights and
+  /// (capture_optimizer) optimizer state. Caller holds mu_ and guarantees
+  /// the store is not being mutated (trainer thread at a boundary, or no
+  /// trainer active).
   void CopyStateLocked(uint64_t step);
 
-  /// Factory call + null/name validation.
-  StatusOr<std::unique_ptr<EmbeddingStore>> MakeValidatedFreshStore();
-
-  /// Incremental-mode publish for `generation`: queue the payload to both
-  /// buffers, wait for the publish turn, reclaim-or-retire the target
-  /// buffer, drain its lagging queue via LoadDelta/LoadState, freeze it
-  /// into `out` with a lease. Fills the apply/publish stats fields.
-  Status PublishIncremental(std::shared_ptr<const std::string> payload,
-                            bool is_delta, uint64_t generation,
-                            ServingSnapshot* out);
-
-  /// Waits up to reclaim_wait_us for `slot`'s lease, else retires the
-  /// buffer to its holder and rebuilds a replacement at generation
-  /// `generation - 1` from the other (serving) buffer's SaveState.
-  Status ReclaimOrRetire(size_t slot, uint64_t generation, bool* retired);
-
-  /// One definition of the per-publish Stats update (apply/publish splits,
-  /// maxes, the last_rebuild_us aliases, the retire counter), shared by the
-  /// incremental and full publish paths so the two modes cannot drift.
-  void RecordPublishStats(double apply_us, uint64_t apply_bytes,
-                          double publish_us, bool retired);
+  /// Publishes `generation` through the double buffer in claim order and
+  /// records the apply/publish stats.
+  Status Publish(std::shared_ptr<const std::string> payload, bool is_delta,
+                 uint64_t generation, ServingSnapshot* out);
 
   EmbeddingStore* live_store_;
   RecModel* live_model_;
-  FreshStoreFactory factory_;
   Options options_;
-  std::string live_name_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -308,8 +225,8 @@ class SnapshotManager {
   bool training_active_ = false;
   uint64_t last_step_ = 0;
   uint64_t last_cut_step_ = 0;
-  /// Incremental mode: true once the base copy + EnableDirtyTracking ran
-  /// at a boundary (subsequent copies are deltas). Guarded by mu_.
+  /// True once the base copy + EnableDirtyTracking ran at a boundary
+  /// (subsequent copies are deltas). Guarded by mu_.
   bool base_cut_done_ = false;
   // Hand-off buffer (the write buffer until claimed by Cut(), which moves
   // it out and leaves a fresh one behind — the double-buffer exchange).
@@ -325,20 +242,17 @@ class SnapshotManager {
   /// order regardless of publish completion order.
   uint64_t next_generation_ = 0;
 
-  /// Incremental-mode publish state. Publishes MUST run in claim order
-  /// (each delta is relative to the buffers' current state), so publishers
-  /// sequence on published_generation_ under publish_mu_; the turn holder
-  /// then works on the buffers unlocked (no other thread touches them until
-  /// it advances the generation). A failed publish poisons the chain:
-  /// every later incremental cut fails fast instead of publishing divergent
-  /// state. Lease state lives separately (leases_) so a serving thread
-  /// releasing the last pin never contends with an in-flight apply.
+  /// Publishes MUST run in claim order (each delta is relative to the
+  /// buffers' current state), so publishers sequence on
+  /// published_generation_ under publish_mu_; the turn holder then works on
+  /// buffers_ unlocked (no other thread touches them until it advances the
+  /// generation). A failed publish poisons the chain: every later cut fails
+  /// fast instead of publishing divergent state.
   std::mutex publish_mu_;
   std::condition_variable publish_cv_;
   uint64_t published_generation_ = 0;
   Status publish_status_;
-  BufferSlot buffers_[2];
-  std::shared_ptr<LeaseState> leases_;
+  DoubleBuffer buffers_;
 
   Stats stats_;
 };

@@ -51,7 +51,6 @@ StatusOr<OnlinePipelineResult> RunOnlinePipeline(
 
   SnapshotManager::Options manager_options;
   manager_options.min_steps_between_cuts = options.snapshot_interval;
-  manager_options.incremental = options.incremental_snapshots;
   manager_options.capture_optimizer = options.capture_optimizer;
 
   // Replication tier: declared BEFORE the manager so the source outlives

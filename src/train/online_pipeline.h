@@ -21,16 +21,6 @@ struct OnlinePipelineOptions {
   size_t passes = 1;
   /// Trainer steps between snapshot cuts (the rollout cadence).
   uint64_t snapshot_interval = 50;
-  /// Incremental cuts: after generation 1's full base copy, each cut's
-  /// trainer pause copies only the rows dirtied since the previous cut,
-  /// and each generation publishes O(dirty) too — deltas replay directly
-  /// into the manager's ping-pong buffer stores instead of rebuilding a
-  /// fresh store per cut (SnapshotManager::Options::incremental). Requires
-  /// a store with SaveDelta/LoadDelta support — all built-in stores
-  /// qualify. The pipeline's install-and-release rollout loop satisfies the
-  /// two-generation retention contract, so publishes stay on the reclaim
-  /// fast path (result.snapshot_stats.retired_buffers counts exceptions).
-  bool incremental_snapshots = false;
   /// Capture the optimizer's adaptive state into every snapshot at the same
   /// step boundary (SnapshotManager::Options::capture_optimizer): the final
   /// snapshot then doubles as a full training-resume checkpoint

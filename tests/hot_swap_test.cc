@@ -116,90 +116,6 @@ const StoreCase kAllStores[] = {
     {"mde", 2.0},   {"offline", 20.0}, {"cafe", 20.0},  {"cafe-ml", 20.0},
 };
 
-class SnapshotCutTest : public ::testing::TestWithParam<StoreCase> {};
-
-// The tentpole consistency guarantee: a snapshot cut WHILE a trainer thread
-// is applying gradients must equal, bit for bit, a quiesced freeze of a
-// second store trained on exactly the captured-step prefix of the same
-// stream. Also covers the tail cut after FinishTraining.
-TEST_P(SnapshotCutTest, MidTrainingCutMatchesQuiescedFreeze) {
-  const std::string name = GetParam().name;
-  const StoreFactoryContext context = MakeContext(GetParam().cr);
-  auto live = MakeStore(name, context);
-  ASSERT_TRUE(live.ok()) << live.status().ToString();
-
-  constexpr size_t kSteps = 200;
-  SnapshotManager::Options manager_options;
-  manager_options.min_steps_between_cuts = 37;  // bias the cut mid-stream
-  SnapshotManager manager(
-      live->get(), /*live_model=*/nullptr,
-      [&name, &context]() { return MakeStore(name, context); },
-      manager_options);
-
-  manager.BeginTraining();
-  std::thread trainer([&]() {
-    GradStream stream(/*seed=*/321);
-    std::vector<uint64_t> ids;
-    std::vector<float> grads;
-    for (size_t k = 1; k <= kSteps; ++k) {
-      // Hold the first step until the cutter's request is registered, so
-      // the cut deterministically lands MID-stream (at the interval floor,
-      // step 37) rather than racing the end of the pass.
-      while (k == 1 && !manager.cut_pending()) {
-        std::this_thread::yield();
-      }
-      stream.Next(&ids, &grads);
-      (*live)->ApplyGradientBatch(ids.data(), kBatch, grads.data(), 0.05f);
-      (*live)->Tick();
-      manager.AtStepBoundary(k);
-    }
-    manager.FinishTraining(kSteps);
-  });
-
-  auto snapshot = manager.Cut();
-  ASSERT_TRUE(snapshot.ok()) << name << ": " << snapshot.status().ToString();
-  trainer.join();
-
-  const uint64_t s = (*snapshot)->train_step;
-  EXPECT_EQ(s, manager_options.min_steps_between_cuts) << name;
-  EXPECT_EQ((*snapshot)->generation, 1u);
-  EXPECT_TRUE((*snapshot)->dense_params.empty());
-
-  // Quiesced reference: a fresh store trained on the first s batches of the
-  // SAME stream, frozen the PR-2 way.
-  auto reference = MakeStore(name, context);
-  ASSERT_TRUE(reference.ok());
-  ApplyStream(reference->get(), /*seed=*/321, s);
-  auto reference_frozen = FrozenStore::Wrap(reference->get());
-  ExpectStoresBitIdentical(*(*snapshot)->store, *reference_frozen,
-                           name + " (cut at step " + std::to_string(s) + ")");
-
-  // Tail cut: the trainer is idle again, so Cut() copies directly and must
-  // capture the full 200-step state.
-  auto tail = manager.Cut();
-  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
-  EXPECT_EQ((*tail)->train_step, kSteps);
-  EXPECT_EQ((*tail)->generation, 2u);
-  auto live_frozen = FrozenStore::Wrap(live->get());
-  ExpectStoresBitIdentical(*(*tail)->store, *live_frozen,
-                           name + " (tail cut)");
-
-  const SnapshotManager::Stats stats = manager.stats();
-  EXPECT_EQ(stats.cuts, 2u);
-  EXPECT_GT(stats.max_copy_us, 0.0);
-  EXPECT_GT(stats.max_rebuild_us, 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllStores, SnapshotCutTest,
-                         ::testing::ValuesIn(kAllStores),
-                         [](const ::testing::TestParamInfo<StoreCase>& info) {
-                           std::string name = info.param.name;
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
-
 std::string SaveStateBytes(const EmbeddingStore& store) {
   io::Writer writer;
   const Status status = store.SaveState(&writer);
@@ -235,7 +151,6 @@ TEST_P(IncrementalDeltaTest, BaseDeltasRestoreBitIdenticalToSaveState) {
 
   // Base cut + tracking on at the same quiescent point.
   const std::string base = SaveStateBytes(**live);
-  ASSERT_TRUE((*live)->SupportsIncrementalSnapshots()) << name;
   ASSERT_TRUE((*live)->EnableDirtyTracking().ok()) << name;
 
   auto restored = MakeStore(name, context);
@@ -412,11 +327,13 @@ TEST(TickDeltaCompressionTest, TickCrossingDeltaUndercutsFullArrayShip) {
 
 class IncrementalCutTest : public ::testing::TestWithParam<StoreCase> {};
 
-// The manager-level guarantee, now at delta cost: with Options::incremental
-// a mid-training cut (trainer thread live, dirty sets filling concurrently
-// with the rollout thread's requests — the TSan train-while-cut workload)
-// must STILL be bit-identical to a quiesced freeze of the same step prefix,
-// for every cut in the chain, and later cuts must copy only deltas.
+// The tentpole consistency guarantee: a snapshot cut WHILE a trainer thread
+// is applying gradients (dirty sets filling concurrently with the rollout
+// thread's requests — the TSan train-while-cut workload) must equal, bit
+// for bit, a quiesced freeze of a second store trained on exactly the
+// captured-step prefix of the same stream — for the base-only generation 1
+// and for every delta cut after it, including the tail cut after
+// FinishTraining.
 TEST_P(IncrementalCutTest, MidTrainingIncrementalCutsMatchQuiescedFreezes) {
   const std::string name = GetParam().name;
   const StoreFactoryContext context = MakeContext(GetParam().cr);
@@ -427,7 +344,6 @@ TEST_P(IncrementalCutTest, MidTrainingIncrementalCutsMatchQuiescedFreezes) {
   constexpr size_t kCuts = 3;
   SnapshotManager::Options manager_options;
   manager_options.min_steps_between_cuts = 31;
-  manager_options.incremental = true;
   // This test RETAINS every generation (to compare them all at the end),
   // deliberately violating the two-generation retention contract: every
   // publish from generation 3 on must take the retire fallback. Shorten the
@@ -462,12 +378,19 @@ TEST_P(IncrementalCutTest, MidTrainingIncrementalCutsMatchQuiescedFreezes) {
     snapshots.push_back(std::move(snapshot).value());
   }
   trainer.join();
+  // The first cut lands MID-stream, at the interval floor.
+  EXPECT_EQ(snapshots[0]->train_step, manager_options.min_steps_between_cuts)
+      << name;
 
-  // Tail cut after FinishTraining: direct-copy mode, still a delta.
+  // Tail cut: the trainer is idle again, so Cut() copies directly (still a
+  // delta) and must capture the full kSteps state of the live store.
   auto tail = manager.Cut();
   ASSERT_TRUE(tail.ok()) << tail.status().ToString();
   snapshots.push_back(std::move(tail).value());
   EXPECT_EQ(snapshots.back()->train_step, kSteps);
+  auto live_frozen = FrozenStore::Wrap(live->get());
+  ExpectStoresBitIdentical(*snapshots.back()->store, *live_frozen,
+                           name + " (tail cut)");
 
   // Every generation equals a quiesced reference trained on its prefix —
   // not just lookup-identical but byte-identical SaveState, the invariant
@@ -476,6 +399,7 @@ TEST_P(IncrementalCutTest, MidTrainingIncrementalCutsMatchQuiescedFreezes) {
   for (size_t m = 0; m < snapshots.size(); ++m) {
     const uint64_t s = snapshots[m]->train_step;
     EXPECT_EQ(snapshots[m]->generation, m + 1);
+    EXPECT_TRUE(snapshots[m]->dense_params.empty());  // store-only manager
     auto reference = MakeStore(name, context);
     ASSERT_TRUE(reference.ok());
     ApplyStream(reference->get(), /*seed=*/321, s);
@@ -498,7 +422,9 @@ TEST_P(IncrementalCutTest, MidTrainingIncrementalCutsMatchQuiescedFreezes) {
   // buffer still held by the retained generation-minus-two snapshot and
   // must retire it (the held snapshots stay immutable, as verified above).
   EXPECT_EQ(stats.retired_buffers, 2u) << name;
+  EXPECT_GT(stats.max_copy_us, 0.0) << name;
   EXPECT_GT(stats.last_publish_us, 0.0) << name;
+  EXPECT_GT(stats.max_publish_us, 0.0) << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStores, IncrementalCutTest,
@@ -625,7 +551,6 @@ TEST(SnapshotManagerTest, FreshManagerRebasesCleanlyAfterPoisonedChain) {
 
   {
     SnapshotManager::Options options;
-    options.incremental = true;
     SnapshotManager poisoned(
         live->get(), /*live_model=*/nullptr,
         []() -> StatusOr<std::unique_ptr<EmbeddingStore>> {
@@ -648,7 +573,6 @@ TEST(SnapshotManagerTest, FreshManagerRebasesCleanlyAfterPoisonedChain) {
   total_batches += 10;
 
   SnapshotManager::Options options;
-  options.incremental = true;
   SnapshotManager manager(
       live->get(), /*live_model=*/nullptr,
       [&context]() { return MakeStore("cafe", context); }, options);
@@ -746,7 +670,6 @@ TEST(SnapshotManagerTest, FailedOptimizerCaptureRollsBackTheBase) {
   total_batches += 25;
 
   SnapshotManager::Options options;
-  options.incremental = true;
   options.capture_optimizer = true;
   SnapshotManager manager(
       live->get(), &model,
@@ -810,7 +733,6 @@ TEST(SnapshotManagerTest, FailedOptimizerCaptureOnDeltaCutForcesRebase) {
   total_batches += 25;
 
   SnapshotManager::Options options;
-  options.incremental = true;
   options.capture_optimizer = true;
   SnapshotManager manager(
       live->get(), &model,
@@ -847,6 +769,79 @@ TEST(SnapshotManagerTest, FailedOptimizerCaptureOnDeltaCutForcesRebase) {
   EXPECT_EQ(stats.cuts, 3u);
   // base, rebased FULL base (not a delta over the lost interval), delta.
   EXPECT_EQ(stats.delta_cuts, 1u);
+}
+
+// Retire with a base in the lagging queue: a rebase (forced here by a
+// failed optimizer capture on a delta cut) publishes into the buffer a
+// consumer still pins with generation G-2. The retire must start the
+// replacement from a factory-fresh store and the base alone, dropping the
+// deltas queued before it, and every retained generation must stay
+// byte-identical to a quiesced SaveState freeze of its prefix.
+TEST(SnapshotManagerTest, RebaseRetiresAHeldBufferToAFreshBase) {
+  const StoreFactoryContext context = MakeContext(20.0);
+  auto live = MakeStore("cafe", context);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  // Captures for generations 1 and 2 succeed, the next one fails.
+  FlakyOptimizerModel model(/*succeed_before=*/2, /*failures=*/1);
+
+  GradStream stream(/*seed=*/737);
+  std::vector<uint64_t> ids;
+  std::vector<float> grads;
+  size_t total_batches = 0;
+  auto train = [&](size_t batches) {
+    for (size_t k = 0; k < batches; ++k) {
+      stream.Next(&ids, &grads);
+      (*live)->ApplyGradientBatch(ids.data(), kBatch, grads.data(), 0.05f);
+      (*live)->Tick();
+    }
+    total_batches += batches;
+  };
+
+  SnapshotManager::Options options;
+  options.capture_optimizer = true;
+  // Every generation is retained, so publishes from generation 3 on find
+  // their buffer held; keep the forced retires quick.
+  options.reclaim_wait_us = 2000;
+  SnapshotManager manager(
+      live->get(), &model,
+      [&context]() { return MakeStore("cafe", context); }, options);
+
+  std::vector<std::shared_ptr<const ServingSnapshot>> generations;
+  std::vector<size_t> prefixes;
+  auto cut = [&]() {
+    auto snapshot = manager.Cut();
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    generations.push_back(std::move(snapshot).value());
+    prefixes.push_back(total_batches);
+  };
+  train(20);
+  cut();  // generation 1: base
+  train(10);
+  cut();  // generation 2: delta
+  train(10);
+  ASSERT_FALSE(manager.Cut().ok());  // delta copied, capture fails
+  train(10);
+  cut();  // generation 3: rebase into the buffer generation 1 pins
+  train(10);
+  cut();  // generation 4: its queue holds the base; generation 2 pins it
+  train(10);
+  cut();  // generation 5: delta-only queue; clones the serving buffer
+  ASSERT_EQ(generations.size(), 5u);
+
+  for (size_t g = 0; g < generations.size(); ++g) {
+    EXPECT_EQ(generations[g]->generation, g + 1);
+    auto reference = MakeStore("cafe", context);
+    ASSERT_TRUE(reference.ok());
+    ApplyStream(reference->get(), /*seed=*/737, prefixes[g]);
+    EXPECT_EQ(SaveStateBytes(*reference->get()),
+              SaveStateBytes(*generations[g]->store->underlying()))
+        << "generation " << g + 1
+        << " is not byte-identical to a quiesced SaveState freeze";
+  }
+  const SnapshotManager::Stats stats = manager.stats();
+  EXPECT_EQ(stats.cuts, 5u);
+  EXPECT_EQ(stats.delta_cuts, 3u);  // generations 2, 4 and 5
+  EXPECT_EQ(stats.retired_buffers, 3u);  // generations 3, 4 and 5
 }
 
 std::unique_ptr<SyntheticCtrDataset> MakeRolloutDataset() {
@@ -960,12 +955,15 @@ TEST(SnapshotCutTest, DenseWeightsCutAtTheSameBoundaryAsTheStore) {
                                  "cut at step " + std::to_string(s));
 }
 
-// The headline rollout guarantee: 4 workers serve a fixed probe while a
-// trainer keeps learning and a rollout thread cuts + hot-swaps 5 fresh
-// generations mid-traffic. Every single response must be bit-identical to
-// the offline prediction of exactly ONE generation — a torn read (store
-// from one generation, dense weights from another, or a mid-batch flip)
-// would match none.
+// The headline rollout guarantee, and the serve-while-apply TSan workload:
+// 4 workers serve a fixed probe from one resident buffer while a trainer
+// keeps learning and a rollout thread replays deltas into the other buffer
+// and hot-swaps 5 fresh generations mid-traffic. References are captured as
+// logits at install time and the snapshots RELEASED — the healthy retention
+// pattern, keeping publishes on the reclaim fast path. Every single
+// response must be bit-identical to the offline prediction of exactly ONE
+// generation — a torn read (store from one generation, dense weights from
+// another, or a mid-batch flip) would match none.
 TEST(HotSwapServingTest, EveryResponseMatchesExactlyOneGeneration) {
   auto data = MakeRolloutDataset();
   StoreFactoryContext context = MakeContext(1.0);
@@ -980,176 +978,6 @@ TEST(HotSwapServingTest, EveryResponseMatchesExactlyOneGeneration) {
 
   SnapshotManager::Options manager_options;
   manager_options.min_steps_between_cuts = 5;
-  SnapshotManager manager(
-      live_store->get(), live_model->get(),
-      [&context]() { return MakeStore("full", context); }, manager_options);
-
-  std::vector<std::shared_ptr<const ServingSnapshot>> generations;
-  auto initial = manager.Cut();
-  ASSERT_TRUE(initial.ok()) << initial.status().ToString();
-  generations.push_back(*initial);
-  SwappableStore swap(*initial);
-
-  InferenceServerOptions options;
-  options.num_workers = 4;
-  options.max_batch = 48;
-  options.max_wait_us = 100;
-  options.num_fields = data->num_fields();
-  options.num_numerical = data->config().num_numerical;
-  auto server = InferenceServer::Start(
-      options,
-      [&](size_t) -> StatusOr<std::unique_ptr<RecModel>> {
-        return MakeModel("wdl", model_config, &swap);
-      },
-      &swap);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-
-  // Fixed probe: every request predicts the same 16 test-day samples, so a
-  // response is fully determined by the generation that served it.
-  const size_t test_begin = data->train_size();
-  const Batch probe = data->GetBatch(test_begin, 16);
-
-  constexpr size_t kSwaps = 5;
-  constexpr size_t kClients = 3;
-  constexpr size_t kTrainBatch = 128;
-  std::atomic<bool> stop_training{false};
-  std::atomic<bool> stop_clients{false};
-
-  // Active BEFORE the rollout thread exists: its cuts must handshake with
-  // step boundaries, never direct-copy under the live trainer.
-  manager.BeginTraining();
-  std::thread trainer([&]() {
-    uint64_t step = 0;
-    while (!stop_training.load(std::memory_order_acquire)) {
-      (*live_model)->TrainStep(
-          data->GetBatch((step * kTrainBatch) % 4000, kTrainBatch));
-      ++step;
-      manager.AtStepBoundary(step);
-    }
-    manager.FinishTraining(step);
-  });
-
-  std::string rollout_error;
-  std::thread rollout([&]() {
-    for (size_t m = 0; m < kSwaps; ++m) {
-      auto snapshot = manager.Cut();
-      if (!snapshot.ok()) {
-        rollout_error = snapshot.status().ToString();
-        break;
-      }
-      generations.push_back(*snapshot);
-      (*server)->InstallSnapshot(*snapshot);
-    }
-    stop_training.store(true, std::memory_order_release);
-  });
-
-  std::vector<std::vector<std::vector<float>>> responses(kClients);
-  std::vector<std::string> errors(kClients);
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c]() {
-      std::vector<std::future<std::vector<float>>> inflight;
-      while (!stop_clients.load(std::memory_order_acquire)) {
-        auto submitted = (*server)->Submit(probe);
-        if (!submitted.ok()) {
-          errors[c] = submitted.status().ToString();
-          return;
-        }
-        inflight.push_back(std::move(submitted).value());
-        if (inflight.size() >= 8) {
-          for (auto& f : inflight) responses[c].push_back(f.get());
-          inflight.clear();
-        }
-      }
-      for (auto& f : inflight) responses[c].push_back(f.get());
-    });
-  }
-
-  rollout.join();
-  trainer.join();
-  stop_clients.store(true, std::memory_order_release);
-  for (auto& client : clients) client.join();
-  ASSERT_EQ(rollout_error, "");
-  for (const std::string& error : errors) ASSERT_EQ(error, "");
-
-  // Offline reference per generation: a fresh replica over the snapshot's
-  // frozen store with the snapshot's dense weights.
-  ASSERT_EQ(generations.size(), kSwaps + 1);
-  std::vector<std::vector<float>> reference(generations.size());
-  for (size_t g = 0; g < generations.size(); ++g) {
-    auto replica =
-        MakeModel("wdl", model_config, generations[g]->store.get());
-    ASSERT_TRUE(replica.ok());
-    std::vector<Param> params;
-    (*replica)->CollectDenseParams(&params);
-    ASSERT_EQ(params.size(), generations[g]->dense_params.size());
-    for (size_t b = 0; b < params.size(); ++b) {
-      ASSERT_EQ(params[b].size, generations[g]->dense_params[b].size());
-      std::memcpy(params[b].value, generations[g]->dense_params[b].data(),
-                  params[b].size * sizeof(float));
-    }
-    (*replica)->Predict(probe, &reference[g]);
-  }
-  // Generations must be distinguishable, or "exactly one" is vacuous.
-  for (size_t a = 0; a < reference.size(); ++a) {
-    for (size_t b = a + 1; b < reference.size(); ++b) {
-      ASSERT_NE(std::memcmp(reference[a].data(), reference[b].data(),
-                            reference[a].size() * sizeof(float)),
-                0)
-          << "generations " << a + 1 << " and " << b + 1
-          << " are indistinguishable; the tear check would be vacuous";
-    }
-  }
-
-  size_t total_responses = 0;
-  for (size_t c = 0; c < kClients; ++c) {
-    for (size_t r = 0; r < responses[c].size(); ++r) {
-      const std::vector<float>& got = responses[c][r];
-      ASSERT_EQ(got.size(), reference[0].size());
-      size_t matches = 0;
-      for (const std::vector<float>& ref : reference) {
-        if (std::memcmp(got.data(), ref.data(),
-                        got.size() * sizeof(float)) == 0) {
-          ++matches;
-        }
-      }
-      ASSERT_EQ(matches, 1u)
-          << "client " << c << " response " << r
-          << (matches == 0 ? " matches NO generation (torn read)"
-                           : " matches multiple generations");
-      ++total_responses;
-    }
-  }
-  EXPECT_GT(total_responses, 0u);
-
-  const InferenceServer::Stats stats = (*server)->stats();
-  EXPECT_EQ(stats.snapshot_swaps, kSwaps);
-  EXPECT_EQ(stats.snapshot_generation, generations.back()->generation);
-  EXPECT_EQ(stats.rejected, 0u);
-  (*server)->Shutdown();
-}
-
-// The double-buffer serve-while-apply workload (and its TSan probe):
-// workers serve pinned generations from one resident buffer WHILE the
-// rollout thread replays deltas into the other and flips them. References
-// are captured as logits at install time and the snapshots RELEASED — the
-// healthy retention pattern, keeping publishes on the reclaim fast path.
-// Every response must still match exactly one generation bit-for-bit.
-TEST(HotSwapServingTest, IncrementalDoubleBufferRolloutServesTearFree) {
-  auto data = MakeRolloutDataset();
-  StoreFactoryContext context = MakeContext(1.0);
-  context.embedding.total_features = data->layout().total_features();
-  context.layout = data->layout();
-  const ModelConfig model_config = MakeRolloutModelConfig(*data);
-
-  auto live_store = MakeStore("full", context);
-  ASSERT_TRUE(live_store.ok());
-  auto live_model = MakeModel("wdl", model_config, live_store->get());
-  ASSERT_TRUE(live_model.ok());
-
-  SnapshotManager::Options manager_options;
-  manager_options.min_steps_between_cuts = 5;
-  manager_options.incremental = true;
   SnapshotManager manager(
       live_store->get(), live_model->get(),
       [&context]() { return MakeStore("full", context); }, manager_options);
@@ -1309,9 +1137,12 @@ TEST(HotSwapServingTest, IncrementalDoubleBufferRolloutServesTearFree) {
   const SnapshotManager::Stats stats = manager.stats();
   EXPECT_EQ(stats.cuts, kSwaps + 1);
   EXPECT_EQ(stats.delta_cuts, kSwaps);  // everything after the base
+  EXPECT_EQ(stats.retired_buffers, 0u);
   EXPECT_GT(stats.last_publish_us, 0.0);
   const InferenceServer::Stats serve_stats = (*server)->stats();
   EXPECT_EQ(serve_stats.snapshot_swaps, kSwaps);
+  EXPECT_EQ(serve_stats.snapshot_generation, kSwaps + 1);
+  EXPECT_EQ(serve_stats.rejected, 0u);
   (*server)->Shutdown();
 }
 
@@ -1337,7 +1168,6 @@ TEST(SnapshotCheckpointTest, CapturedOptimizerStateResumesBitIdentically) {
   constexpr size_t kTrainBatch = 128;
   SnapshotManager::Options manager_options;
   manager_options.min_steps_between_cuts = 13;
-  manager_options.incremental = true;
   manager_options.capture_optimizer = true;
   SnapshotManager manager(
       live_store->get(), live_model->get(),
@@ -1557,7 +1387,8 @@ TEST(ConstDedupTest, ConcurrentDedupLookupsMatchScalarConstPath) {
 
 // End to end: the online pipeline trains, hot-swaps generations under live
 // traffic, and its FINAL generation must be bit-identical to an
-// uninterrupted offline run of the same training stream.
+// uninterrupted offline run of the same training stream; every cut after
+// the base is a delta.
 TEST(OnlinePipelineTest, FinalGenerationMatchesUninterruptedTraining) {
   auto data = MakeRolloutDataset();
   StoreFactoryContext context = MakeContext(20.0);
@@ -1590,6 +1421,8 @@ TEST(OnlinePipelineTest, FinalGenerationMatchesUninterruptedTraining) {
             result->snapshots_installed - 1);
   EXPECT_GT(result->avg_train_loss, 0.0);
   EXPECT_GE(result->snapshot_stats.cuts, result->snapshots_installed);
+  EXPECT_EQ(result->snapshot_stats.delta_cuts,
+            result->snapshot_stats.cuts - 1);  // everything after the base
   ASSERT_NE(result->final_snapshot, nullptr);
   EXPECT_EQ(result->final_snapshot->train_step, expected_steps);
 
@@ -1608,51 +1441,6 @@ TEST(OnlinePipelineTest, FinalGenerationMatchesUninterruptedTraining) {
                            "online pipeline final generation");
   ExpectDenseParamsMatchSnapshot(ref_model->get(), *result->final_snapshot,
                                  "online pipeline final dense weights");
-}
-
-// Same end-to-end guarantee with incremental snapshot cuts: the final
-// generation of a delta-cut rollout is bit-identical to uninterrupted
-// offline training, and all post-base cuts were deltas.
-TEST(OnlinePipelineTest, IncrementalFinalGenerationMatchesUninterrupted) {
-  auto data = MakeRolloutDataset();
-  StoreFactoryContext context = MakeContext(20.0);
-  context.embedding.total_features = data->layout().total_features();
-  context.layout = data->layout();
-  const ModelConfig model_config = MakeRolloutModelConfig(*data);
-
-  OnlinePipelineOptions options;
-  options.batch_size = 128;
-  options.passes = 1;
-  options.snapshot_interval = 8;
-  options.incremental_snapshots = true;
-  options.server.num_workers = 2;
-  options.server.max_batch = 64;
-  options.server.max_wait_us = 100;
-  options.num_clients = 2;
-  options.request_size = 12;
-  auto result = RunOnlinePipeline("cafe", context, "dlrm", model_config,
-                                  *data, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_NE(result->final_snapshot, nullptr);
-  EXPECT_GT(result->requests_ok, 0u);  // cuts raced live serving traffic
-  EXPECT_GE(result->snapshot_stats.cuts, 2u);
-  EXPECT_EQ(result->snapshot_stats.delta_cuts,
-            result->snapshot_stats.cuts - 1);  // everything after the base
-
-  const size_t train_end = data->train_size();
-  auto ref_store = MakeStore("cafe", context);
-  ASSERT_TRUE(ref_store.ok());
-  auto ref_model = MakeModel("dlrm", model_config, ref_store->get());
-  ASSERT_TRUE(ref_model.ok());
-  for (size_t start = 0; start < train_end; start += 128) {
-    (*ref_model)->TrainStep(
-        data->GetBatch(start, std::min<size_t>(128, train_end - start)));
-  }
-  auto ref_frozen = FrozenStore::Wrap(ref_store->get());
-  ExpectStoresBitIdentical(*result->final_snapshot->store, *ref_frozen,
-                           "incremental online pipeline final generation");
-  ExpectDenseParamsMatchSnapshot(ref_model->get(), *result->final_snapshot,
-                                 "incremental pipeline final dense weights");
 }
 
 // Under a tiny admission cap and heavy client flooding, the pipeline sheds

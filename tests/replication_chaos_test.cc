@@ -92,7 +92,6 @@ class ChaosRig {
     source_options.delta_history_generations = 8;
     source_ = std::make_unique<ReplicationSource>(Factory(), source_options);
     SnapshotManager::Options options;
-    options.incremental = true;
     options.payload_observer = source_->MakeObserver();
     manager_ = std::make_unique<SnapshotManager>(live_.get(), nullptr,
                                                  Factory(), options);
@@ -103,7 +102,7 @@ class ChaosRig {
     }
   }
 
-  SnapshotManager::FreshStoreFactory Factory() const {
+  FreshStoreFactory Factory() const {
     const StoreFactoryContext context = context_;
     return [context]() { return MakeStore("cafe", context); };
   }

@@ -44,6 +44,7 @@ using replicate::FrameKind;
 using replicate::FrameParser;
 using replicate::MakePipeTransport;
 using replicate::MakeTcpTransport;
+using replicate::PipeCompactionBytes;
 using replicate::ReplicaManager;
 using replicate::ReplicationSource;
 using replicate::TransportPair;
@@ -252,10 +253,10 @@ TEST(FrameCodecTest, AuxRoundTripAndTrailingBytesRejected) {
 // Source -> replica streaming rig.
 // ---------------------------------------------------------------------------
 
-/// One source (live store + idle-mode incremental SnapshotManager +
-/// ReplicationSource) with N pipe/TCP replicas. Cuts are driven directly on
-/// the test thread (idle-trainer direct copy), so the generation sequence
-/// is deterministic; the replica side applies asynchronously.
+/// One source (live store + idle-mode SnapshotManager + ReplicationSource)
+/// with N pipe/TCP replicas. Cuts are driven directly on the test thread
+/// (idle-trainer direct copy), so the generation sequence is deterministic;
+/// the replica side applies asynchronously.
 class ReplicationRig {
  public:
   ReplicationRig(const std::string& store_name, double cr,
@@ -266,13 +267,12 @@ class ReplicationRig {
     live_ = std::move(live).value();
     source_ = std::make_unique<ReplicationSource>(Factory(), source_options);
     SnapshotManager::Options options;
-    options.incremental = true;
     options.payload_observer = source_->MakeObserver();
     manager_ = std::make_unique<SnapshotManager>(live_.get(), nullptr,
                                                  Factory(), options);
   }
 
-  SnapshotManager::FreshStoreFactory Factory() const {
+  FreshStoreFactory Factory() const {
     const std::string name = name_;
     const StoreFactoryContext context = context_;
     return [name, context]() { return MakeStore(name, context); };
@@ -662,37 +662,64 @@ TEST(TransportStatusTest, BoundedPipeCapacityCountsOnlyUnreadBytes) {
 
 // A multi-MB stream through an unbounded pipe, with random-size writes and
 // 4 KB reads interleaved so reads straddle the lane's compaction point
-// many times: every read returns min(4 KB, unread) bytes and the stream
-// comes out byte-identical.
-TEST(TransportStatusTest, PipeStreamsMultiMegabyteInterleavedReadsIntact) {
+// many times. Every read must return min(4 KB, unread) bytes.
+void StreamInterleaved(const std::string& sent, uint64_t seed,
+                       std::string* received) {
   TransportPair pair = MakePipeTransport();
-  constexpr size_t kTotal = 6u << 20;
   constexpr size_t kReadSize = 4096;
-  Rng rng(4242);
-  std::string sent(kTotal, '\0');
-  for (char& c : sent) c = static_cast<char>(rng.Next());
-  std::string received;
-  received.reserve(kTotal);
+  Rng rng(seed);
+  received->clear();
+  received->reserve(sent.size());
   char buf[kReadSize];
   size_t written = 0;
-  while (received.size() < kTotal) {
-    if (written < kTotal) {
+  while (received->size() < sent.size()) {
+    if (written < sent.size()) {
       const size_t size =
-          std::min<size_t>(kTotal - written, 1 + rng.Next() % 12000);
+          std::min<size_t>(sent.size() - written, 1 + rng.Next() % 12000);
       ASSERT_TRUE(pair.source->Write(sent.data() + written, size).ok());
       written += size;
     }
     // 0..3 reads per write keeps the backlog wandering up and down; once
     // everything is written, drain.
-    const uint64_t reads = written < kTotal ? rng.Next() % 4 : 1;
-    for (uint64_t r = 0; r < reads && received.size() < written; ++r) {
+    const uint64_t reads = written < sent.size() ? rng.Next() % 4 : 1;
+    for (uint64_t r = 0; r < reads && received->size() < written; ++r) {
       auto n = pair.replica->Read(buf, sizeof(buf));
       ASSERT_TRUE(n.ok()) << n.status().ToString();
-      ASSERT_EQ(*n, std::min(kReadSize, written - received.size()));
-      received.append(buf, *n);
+      ASSERT_EQ(*n, std::min(kReadSize, written - received->size()));
+      received->append(buf, *n);
     }
   }
+}
+
+std::string RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(size, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.Next());
+  return bytes;
+}
+
+TEST(TransportStatusTest, PipeStreamsMultiMegabyteInterleavedReadsIntact) {
+  const std::string sent = RandomBytes(6u << 20, 4242);
+  std::string received;
+  StreamInterleaved(sent, 4242, &received);
   EXPECT_TRUE(received == sent) << "pipe stream corrupted";
+}
+
+// The read path's memmove cost, counted rather than timed: over the same
+// kind of multi-MB interleaved stream, compaction may move at most twice
+// the bytes read. Compacting on every read moves the whole backlog per
+// read: about 16x the bytes read on this stream.
+TEST(TransportStatusTest, PipeCompactionMovesAtMostTwiceTheBytesRead) {
+  const std::string sent = RandomBytes(6u << 20, 4343);
+  std::string received;
+  const uint64_t before = PipeCompactionBytes();
+  StreamInterleaved(sent, 4343, &received);
+  const uint64_t moved = PipeCompactionBytes() - before;
+  ASSERT_EQ(received.size(), sent.size());
+  EXPECT_GT(moved, 0u) << "the stream never compacted with a backlog";
+  EXPECT_LE(moved, 2 * received.size())
+      << "pipe compaction moved " << moved << " bytes to read "
+      << received.size();
 }
 
 TEST(TransportStatusTest, TcpAcceptTimesOutAndRefusedConnectIsUnavailable) {
@@ -1049,7 +1076,6 @@ TEST(ReplicatedPipelineTest, StreamWhileTrainReachesTheFinalGeneration) {
   options.batch_size = 128;
   options.passes = 1;
   options.snapshot_interval = 8;
-  options.incremental_snapshots = true;
   options.replica_count = 2;
   // Fresh the per-replica subdirs too: the pipeline writes each ledger
   // under <dir>/replica<i>, and a stale ledger would turn this cold join
